@@ -134,9 +134,13 @@ def _expand_config(argv: list[str]) -> list[str]:
     if idx + 1 >= len(argv):
         return argv
     path = argv[idx + 1]
+    rest = argv[:idx] + argv[idx + 2:]
+    sub = next((i for i, tok in enumerate(rest) if tok in _HANDLERS), None)
+    if sub is None:
+        return argv
     # defaults from the file go right after the subcommand so that explicit
-    # flags, parsed later, win
-    return argv[:1] + _load_config_file(path) + argv[1:]
+    # flags, parsed later, win; --config itself is a subcommand option
+    return rest[:sub + 1] + _load_config_file(path) + ["--config", path] + rest[sub + 1:]
 
 
 def _probe_rows(probes):

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .errors import ResourceLimitError
 from .pointprocess import PointPattern, Region
@@ -352,6 +352,51 @@ def min_degree(graph) -> int:
     if graph.n_vertices == 0:
         raise ValueError("minimum degree undefined for an empty vertex set")
     return int(graph.degrees().min())
+
+
+def crossing_prefix_length(pattern: PointPattern, s: float) -> int | None:
+    """Smallest k whose first k points span the box in the graph at distance s.
+
+    Spanning is the event of :func:`crossing_exists` (first axis, margin s)
+    on the one-type graph of ``pattern.points[:k]``; it is monotone in k.
+    Point i arrives at step i + 1; a pair, and the link of a margin point to
+    a super source (low face) or super sink (high face), is present from the
+    later arrival of its ends. The answer is the bottleneck of the minimax
+    source-sink path, read off a minimum spanning tree. None when the whole
+    pattern does not span.
+    """
+    region = pattern.region
+    if region.kind != "box":
+        raise ValueError("crossing is undefined on a torus")
+    n = len(pattern)
+    coords = pattern.points[:, 0]
+    low = np.flatnonzero(coords <= s)
+    high = np.flatnonzero(coords >= region.side - s)
+    if low.size == 0 or high.size == 0:
+        return None
+    # a spanning path has a hop across every empty gap of the axis
+    # coordinates that separates its ends, and no pair across a gap whose
+    # float square exceeds s*s passes the d2 <= s*s predicate
+    xs = np.sort(coords)
+    gaps = np.diff(xs)
+    if np.any((gaps * gaps > s * s) & (xs[1:] > s) & (xs[:-1] < region.side - s)):
+        return None
+    ui, vi, _ = unigraph_edges(pattern, s)
+    source, sink = n, n + 1
+    rows = np.concatenate([ui, np.full(low.size, source), np.full(high.size, sink)])
+    cols = np.concatenate([vi, low, high])
+    steps = np.concatenate([np.maximum(ui, vi), low, high]) + 1
+    tree = minimum_spanning_tree(coo_matrix((steps, (rows, cols)), shape=(n + 2, n + 2)))
+    _, pred = breadth_first_order(tree, source, directed=False, return_predecessors=True)
+    if pred[sink] < 0:
+        return None
+    # every tree edge weighs the later arrival of its ends, so the bottleneck
+    # is the latest point on the path
+    latest, v = -1, int(pred[sink])
+    while v != source:
+        latest = max(latest, v)
+        v = int(pred[v])
+    return latest + 1
 
 
 def crossing_exists(graph, axis: int = 0, margin: float | None = None) -> bool:

@@ -6,6 +6,13 @@ face and one within the margin of the right face. Pseudo-critical points are
 located by bisection on the intensity at a target crossing probability,
 reusing one batch of coupled seeds across probe values so the per-seed
 crossing indicator is monotone along the probed axis.
+
+On the one-type axis each seed is swept once (Newman and Ziff, PRL 85:4104,
+2000, in the continuum): its crossing time T is the arrival time of the point
+with which the coupled pattern first crosses, so the seed crosses at
+intensity lam exactly when ``T <= lam * volume``. Every probe of a bisection
+or of a probe list is then a float comparison against the stored times. The
+B axis of the AB graph is still re-simulated at every probe.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .errors import EstimationError, ResourceLimitError
 from .parallel import parallel_starmap
-from .pointprocess import CoupledSampler, Region
-from .geomgraph import build_bipartite, build_unigraph, crossing_exists
+from .pointprocess import CoupledSampler, PointPattern, Region
+from .geomgraph import build_bipartite, build_unigraph, crossing_exists, crossing_prefix_length
 
 DEFAULT_MU_MAX = 1.0e6
 # expected point budget per trial; beyond this a probe would thrash memory
@@ -80,6 +87,41 @@ def one_type_crossing_trial(seed: int, trial: int, lam: float, r: float, L: floa
     return crossing_exists(graph)
 
 
+def one_type_crossing_time(seed: int, trial: int, start: float, top: float, r: float,
+                           L: float, d: int) -> float:
+    """Crossing time T of one trial: the indicator of
+    :func:`one_type_crossing_trial` at intensity lam is ``T <= lam * volume``.
+
+    T is the event time of the point with which the coupled A pattern first
+    crosses at distance 2r; inf when the pattern at ``top`` does not cross.
+    Prefixes of the pattern at ``top`` are swept at intensities doubling from
+    ``start`` (0 < start <= top, or start = top = 0) until one crosses.
+    """
+    region = Region("box", L, d)
+    sampler = CoupledSampler(region, seed, "A", path=(trial,))
+    points = sampler.prefix(top).points
+    lam = start
+    while True:
+        pattern = PointPattern(region, points[:sampler.count_at(lam)], lam, seed)
+        k = crossing_prefix_length(pattern, 2.0 * r)
+        if k is not None:
+            return sampler.event_time(k)
+        if lam >= top:
+            return math.inf
+        lam = min(2.0 * lam, top)
+
+
+def _crossing_times(start, top, r, L, trials, seed, d, jobs) -> list[float]:
+    """Per-seed crossing times of trials 0..trials-1, in one pass over the seeds."""
+    tasks = [(seed, t, start, top, r, L, d) for t in range(trials)]
+    return parallel_starmap(one_type_crossing_time, tasks, jobs)
+
+
+def _crossings_at(times, lam: float, volume: float) -> list[bool]:
+    t = lam * volume
+    return [T <= t for T in times]
+
+
 def ab_crossing_trial(seed: int, trial: int, lam: float, mu: float, r: float, L: float,
                       d: int) -> bool:
     """Crossing indicator for the bipartite graph at radius r."""
@@ -102,17 +144,20 @@ def dense_b_limit_trial(seed: int, trial: int, lam: float, r: float, L: float,
     As the B intensity grows, every A pair within 2r acquires a common
     neighbor and a component reaches exactly r beyond its A points, so the
     limit event equals one-type crossing of the A points at distance 2r with
-    margin 2r. For a fixed seed this dominates the AB indicator at every
-    finite B intensity.
+    margin 2r, which is :func:`one_type_crossing_trial`. For a fixed seed
+    this dominates the AB indicator at every finite B intensity.
     """
-    region = Region("box", L, d)
-    sampler = CoupledSampler(region, seed, "A", path=(trial,))
-    pattern = sampler.prefix(lam)
-    graph = build_unigraph(pattern, 2.0 * r)
-    return crossing_exists(graph, margin=2.0 * r)
+    return one_type_crossing_trial(seed, trial, lam, r, L, d)
+
+
+def _require_finite(**params) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _validate_geometry(r: float, L: float, trials: int) -> None:
+    _require_finite(r=r, L=L)
     if r <= 0:
         raise ValueError("radius must be positive")
     if L < 4 * r:
@@ -130,27 +175,30 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
     value of each result records the B intensity).
     """
     _validate_geometry(r, L, trials)
-    probes = []
-    for value in intensities:
-        if kind == "one-type":
-            lam = float(value)
+    if kind == "one-type":
+        values = [float(v) for v in intensities]
+        for lam in values:
+            _require_finite(lam=lam)
             if lam < 0:
                 raise ValueError("intensity must be nonnegative")
-            tasks = [(seed, t, lam, r, L, d) for t in range(trials)]
-            flags = parallel_starmap(one_type_crossing_trial, tasks, jobs)
-        elif kind == "AB":
+        top = max(values, default=0.0)
+        start = min((v for v in values if v > 0), default=top)
+        times = _crossing_times(start, top, r, L, trials, seed, d, jobs)
+        volume = Region("box", L, d).volume
+        counts = [(lam, sum(_crossings_at(times, lam, volume))) for lam in values]
+    elif kind == "AB":
+        counts = []
+        for value in intensities:
             lam, mu = (float(v) for v in value)
+            _require_finite(lam=lam, mu=mu)
             if lam < 0 or mu < 0:
                 raise ValueError("intensities must be nonnegative")
             tasks = [(seed, t, lam, mu, r, L, d) for t in range(trials)]
-            flags = parallel_starmap(ab_crossing_trial, tasks, jobs)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        succ = int(sum(flags))
-        lo, hi = wilson_interval(succ, trials)
-        probes.append(ProbeResult(float(value) if kind == "one-type" else mu,
-                                  succ, trials, lo, hi))
-    return probes
+            counts.append((mu, sum(parallel_starmap(ab_crossing_trial, tasks, jobs))))
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return [ProbeResult(value, succ, trials, *wilson_interval(succ, trials))
+            for value, succ in counts]
 
 
 class _MonotoneProbeHistory:
@@ -179,20 +227,26 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
     most ``tol``. The estimate is the bracket midpoint.
     """
     _validate_geometry(r, L, trials)
+    _require_finite(tol=tol, target=target)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if bracket is None:
         bracket = (0.01 / r**d, 2.0 / r**d)
     low, high = (float(b) for b in bracket)
+    _require_finite(low=low, high=high)
     if not 0 <= low < high:
         raise ValueError("bracket must satisfy 0 <= low < high")
 
+    # every probe lies in [low, high]; the start of the doubling sweep only
+    # sets its cost, since each crossing time is exact whatever the start
+    start = low if low > 0 else min(tol, high)
+    times = _crossing_times(start, high, r, L, trials, seed, d, jobs)
+    volume = Region("box", L, d).volume
     history = _MonotoneProbeHistory()
     probes = []
 
     def probe(lam: float) -> float:
-        tasks = [(seed, t, lam, r, L, d) for t in range(trials)]
-        flags = parallel_starmap(one_type_crossing_trial, tasks, jobs)
+        flags = _crossings_at(times, lam, volume)
         history.add(lam, flags)
         succ = int(sum(flags))
         ci = wilson_interval(succ, trials)
@@ -230,8 +284,11 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     upper probe doubles until success, then bisection runs to ``tol``.
     """
     _validate_geometry(r, L, trials)
+    _require_finite(lam=lam, tol=tol, target=target)
     if lam <= 0:
         raise ValueError("A intensity must be positive")
+    if not mu_max > 0:
+        raise ValueError(f"mu_max must be positive, got {mu_max!r}")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
 

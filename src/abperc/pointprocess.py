@@ -28,8 +28,8 @@ class Region:
     def __post_init__(self):
         if self.kind not in ("box", "torus"):
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if not self.side > 0:
-            raise ValueError("region side must be positive")
+        if not (math.isfinite(self.side) and self.side > 0):
+            raise ValueError(f"region side must be finite and positive, got {self.side!r}")
         if self.dim < 1:
             raise ValueError("region dimension must be >= 1")
 
@@ -122,17 +122,32 @@ class CoupledSampler:
         self._times = np.cumsum(self._gap_rng.exponential(size=64))
         self._points = self._point_rng.random((64, region.dim)) * region.side
 
+    def _grow_times(self) -> None:
+        # cache growth doubles from a fixed size, so the cached event times
+        # (cumulative sums restart at each block) never depend on query order
+        gaps = self._gap_rng.exponential(size=self._times.size)
+        self._times = np.concatenate([self._times, self._times[-1] + np.cumsum(gaps)])
+
     def count_at(self, intensity: float) -> int:
         """Number of points of the coupled process at this intensity."""
-        if intensity < 0:
-            raise ValueError("intensity must be nonnegative")
+        if not (math.isfinite(intensity) and intensity >= 0):
+            raise ValueError(f"intensity must be finite and nonnegative, got {intensity!r}")
         t = intensity * self.region.volume
-        # cache growth is geometric and depends only on the largest query so
-        # far, so query order never changes the realization
         while self._times[-1] <= t:
-            gaps = self._gap_rng.exponential(size=self._times.size)
-            self._times = np.concatenate([self._times, self._times[-1] + np.cumsum(gaps)])
+            self._grow_times()
         return int(np.searchsorted(self._times, t, side="right"))
+
+    def event_time(self, k: int) -> float:
+        """Time of the k-th event (k >= 1) of the unit-rate counting process.
+
+        The pattern at intensity lam holds point k exactly when
+        ``event_time(k) <= lam * volume``, the comparison ``count_at`` makes.
+        """
+        if k < 1:
+            raise ValueError("event index must be >= 1")
+        while self._times.size < k:
+            self._grow_times()
+        return float(self._times[k - 1])
 
     def prefix(self, intensity: float) -> PointPattern:
         """Pattern {X_1, ..., X_N} at this intensity; prefixes are nested."""

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from abperc import PointPattern, Region, radius_for_sqdist
+
+# property tests draw the same examples on every run, and a slow example on a
+# loaded machine is not reported as a deadline error
+settings.register_profile("abperc", derandomize=True, deadline=None)
+settings.load_profile("abperc")
 
 UNIT_SQUARE = Region("box", 1.0, 2)
 

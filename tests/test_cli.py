@@ -45,6 +45,27 @@ class TestArgumentHandling:
         summary2 = json.loads((tmp_path / "b.summary.json").read_text())
         assert summary2["config"]["seed"] == 9
 
+    def test_config_file_before_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("intensity = 50\nseed = 4\n")
+        out = tmp_path / "a"
+        assert run_cli(["--config", str(cfg), "sample", "--seed", "9",
+                        "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "a.summary.json").read_text())
+        assert summary["config"]["params"]["intensity"] == 50.0
+        assert summary["config"]["seed"] == 9
+        assert summary["config"]["subcommand"] == "sample"
+
+    @pytest.mark.parametrize("flags", [["--intensities", "nan"], ["--tol", "nan"],
+                                       ["--L", "inf"], ["--intensities", "0.3,inf"]])
+    def test_non_finite_parameter_exits_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        code = run_cli(["percolate", "--r", "1", "--L", "8", "--trials", "5", *flags,
+                        "--out", str(out)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no equals sign here\n")

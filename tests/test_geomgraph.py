@@ -13,6 +13,7 @@ from abperc import (
     build_unigraph,
     components,
     crossing_exists,
+    crossing_prefix_length,
     is_connected_g1,
     min_degree,
     radius_for_sqdist,
@@ -328,6 +329,46 @@ class TestCrossing:
             assert got == want
             hits += got
         assert 0 < hits < 25  # instances straddle both outcomes
+
+    def test_prefix_length_is_first_crossing_prefix(self):
+        region = Region("box", 8.0, 2)
+        rng = np.random.default_rng(21)
+        hits = 0
+        for _ in range(30):
+            n = int(rng.integers(20, 90))
+            X = PointPattern(region, rng.random((n, 2)) * 8.0, float(n), 0)
+            want = next((k for k in range(1, n + 1) if crossing_exists(
+                build_unigraph(PointPattern(region, X.points[:k], 1.0, 0), 1.0))), None)
+            assert crossing_prefix_length(X, 1.0) == want
+            hits += want is not None
+        assert 0 < hits < 30
+
+    def test_prefix_length_of_chain_and_edge_cases(self):
+        region = Region("box", 10.0, 2)
+        xs = 0.5 + 0.9 * np.arange(11)
+        chain = np.column_stack([xs, np.full_like(xs, 5.0)])
+        # a far point first, then a chain with no skippable link: crossing
+        # needs every chain point
+        pts = np.vstack([[[5.0, 9.5]], chain])
+        X = PointPattern(region, pts, 1.0, 0)
+        assert crossing_prefix_length(X, 1.0) == len(pts)
+        assert crossing_prefix_length(PointPattern(region, chain[::-1], 1.0, 0), 1.0) == len(chain)
+        assert crossing_prefix_length(PointPattern(region, np.empty((0, 2)), 0.0, 0), 1.0) is None
+        # neighbours exactly s apart along the axis connect; one float wider
+        # and the chain breaks
+        xs = np.arange(0.5, 10.0, 1.0)
+        tight = np.column_stack([xs, np.full_like(xs, 5.0)])
+        assert crossing_prefix_length(PointPattern(region, tight, 1.0, 0), 1.0) == len(xs)
+        tight[5, 0] = np.nextafter(tight[5, 0], 10.0)
+        broken = PointPattern(region, tight, 1.0, 0)
+        assert crossing_prefix_length(broken, 1.0) is None
+        assert not crossing_exists(build_unigraph(broken, 1.0))
+        # one point in both margins spans on its own
+        narrow = Region("box", 4.0, 2)
+        assert crossing_prefix_length(PointPattern(narrow, [[3.0, 1.0], [2.0, 1.0]], 1.0, 0),
+                                      2.0) == 2
+        with pytest.raises(ValueError):
+            crossing_prefix_length(PointPattern(Region("torus", 10.0, 2), chain, 1.0, 0), 1.0)
 
     def test_bipartite_crossing_uses_both_sides(self):
         region = Region("box", 8.0, 2)

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abperc import (
     EstimationError,
+    Region,
     crossing_probability,
     estimate_lambda_c,
     estimate_mu_c,
@@ -13,6 +16,7 @@ from abperc.percolation import (
     _MonotoneProbeHistory,
     ab_crossing_trial,
     dense_b_limit_trial,
+    one_type_crossing_time,
     one_type_crossing_trial,
 )
 
@@ -135,3 +139,63 @@ class TestEstimateMuC:
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ValueError):
             estimate_mu_c(r=1.0, lam=0.0, L=12.0, trials=10, tol=0.5, seed=0)
+
+
+class TestCrossingTime:
+    """The stored crossing time reproduces the direct per-probe indicator."""
+
+    @given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 1000),
+           side=st.sampled_from(["4r", 8.0, 12.0]), d=st.sampled_from([2, 3]),
+           top=st.floats(0.05, 1.2), halvings=st.integers(0, 12))
+    def test_matches_direct_trial(self, seed, trial, side, d, top, halvings):
+        r = 1.0
+        L = 4 * r if side == "4r" else side
+        volume = Region("box", L, d).volume
+        T = one_type_crossing_time(seed, trial, top * 2.0**-halvings, top, r, L, d)
+        lams = [0.0, top]
+        if math.isfinite(T):
+            at = T / volume
+            lams += [at, math.nextafter(at, 0.0), math.nextafter(at, math.inf)]
+        for lam in lams:
+            assert (T <= lam * volume) == one_type_crossing_trial(seed, trial, lam, r, L, d)
+
+    def test_start_of_sweep_does_not_change_time(self):
+        for trial in range(20):
+            times = {one_type_crossing_time(5, trial, start, 1.0, 1.0, 10.0, 2)
+                     for start in (1e-6, 0.01, 0.3, 1.0)}
+            assert len(times) == 1
+
+    def test_no_crossing_by_top_is_infinite(self):
+        assert one_type_crossing_time(3, 0, 0.0, 0.0, 1.0, 10.0, 2) == math.inf
+        assert one_type_crossing_time(3, 0, 0.001, 0.002, 1.0, 30.0, 2) == math.inf
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_crossing_probability_rejects(self, bad):
+        with pytest.raises(ValueError):
+            crossing_probability("one-type", [bad], r=1.0, L=10.0, trials=5, seed=0)
+        with pytest.raises(ValueError):
+            crossing_probability("AB", [(0.5, bad)], r=1.0, L=10.0, trials=5, seed=0)
+        with pytest.raises(ValueError):
+            crossing_probability("one-type", [0.5], r=bad, L=10.0, trials=5, seed=0)
+        with pytest.raises(ValueError):
+            crossing_probability("one-type", [0.5], r=1.0, L=bad, trials=5, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_estimate_lambda_c_rejects(self, bad):
+        kwargs = dict(r=1.0, L=10.0, trials=5, tol=0.1, seed=0)
+        for name in ("r", "L", "tol", "target"):
+            with pytest.raises(ValueError):
+                estimate_lambda_c(**{**kwargs, name: bad})
+        with pytest.raises(ValueError):
+            estimate_lambda_c(**kwargs, bracket=(0.1, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_estimate_mu_c_rejects(self, bad):
+        kwargs = dict(r=1.0, lam=0.5, L=10.0, trials=5, tol=0.5, seed=0)
+        for name in ("r", "lam", "L", "tol", "target"):
+            with pytest.raises(ValueError):
+                estimate_mu_c(**{**kwargs, name: bad})
+        with pytest.raises(ValueError):
+            estimate_mu_c(**kwargs, mu_max=math.nan)

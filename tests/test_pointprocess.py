@@ -13,6 +13,9 @@ class TestRegion:
             Region("box", 1.0, 0)
         with pytest.raises(ValueError):
             Region("cylinder", 1.0, 2)
+        for side in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                Region("box", side, 2)
 
     def test_torus_metric_wraps(self):
         region = Region("torus", 1.0, 2)
@@ -134,6 +137,33 @@ class TestCoupledSampler:
     def test_negative_intensity_rejected(self, unit_square):
         with pytest.raises(ValueError):
             CoupledSampler(unit_square, 0).prefix(-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_intensity_rejected(self, unit_square, bad):
+        sampler = CoupledSampler(unit_square, 0)
+        with pytest.raises(ValueError):
+            sampler.count_at(bad)
+        with pytest.raises(ValueError):
+            sampler.prefix(bad)
+
+    def test_event_time_matches_count(self, unit_square):
+        sampler = CoupledSampler(unit_square, 6)
+        # past the first cache block, so the accessor grows the cache itself
+        times = [sampler.event_time(k) for k in range(1, 301)]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        for k in (1, 64, 65, 300):
+            t = times[k - 1]
+            assert sampler.count_at(t / unit_square.volume) >= k
+            assert sampler.count_at(np.nextafter(t, 0.0) / unit_square.volume) < k
+        with pytest.raises(ValueError):
+            sampler.event_time(0)
+
+    def test_event_time_query_order_invariant(self, unit_square):
+        early = CoupledSampler(unit_square, 9)
+        late = CoupledSampler(unit_square, 9)
+        t = early.event_time(500)
+        late.prefix(1000.0)
+        assert late.event_time(500) == t
 
 
 class TestPointPattern:
