@@ -38,7 +38,7 @@ from .geomgraph import (
     build_unigraph,
     components,
     crossing_exists,
-    crossing_prefix_length,
+    crossing_step,
     is_connected_g1,
     min_degree,
     radius_for_sqdist,

@@ -286,18 +286,19 @@ def build_unigraph(X: PointPattern, s: float) -> Graph:
     return Graph(X, float(s), ui, vi)
 
 
+def _edge_arrays(graph):
+    """Vertex count and edge end arrays; bipartite right vertices follow the left ones."""
+    if isinstance(graph, BipartiteGraph):
+        return graph.n_vertices, graph.edges_left, graph.edges_right + graph.n_left
+    return graph.n_vertices, graph.edges_u, graph.edges_v
+
+
 def components(graph):
     """Connected-component labels and component count.
 
     For a bipartite graph, labels cover left vertices then right vertices.
     """
-    if isinstance(graph, BipartiteGraph):
-        nv = graph.n_vertices
-        src = graph.edges_left
-        dst = graph.edges_right + graph.n_left
-    else:
-        nv = graph.n_vertices
-        src, dst = graph.edges_u, graph.edges_v
+    nv, src, dst = _edge_arrays(graph)
     if nv == 0:
         return np.empty(0, dtype=np.int32), 0
     data = np.ones(len(src), dtype=np.int8)
@@ -354,49 +355,15 @@ def min_degree(graph) -> int:
     return int(graph.degrees().min())
 
 
-def crossing_prefix_length(pattern: PointPattern, s: float) -> int | None:
-    """Smallest k whose first k points span the box in the graph at distance s.
-
-    Spanning is the event of :func:`crossing_exists` (first axis, margin s)
-    on the one-type graph of ``pattern.points[:k]``; it is monotone in k.
-    Point i arrives at step i + 1; a pair, and the link of a margin point to
-    a super source (low face) or super sink (high face), is present from the
-    later arrival of its ends. The answer is the bottleneck of the minimax
-    source-sink path, read off a minimum spanning tree. None when the whole
-    pattern does not span.
-    """
-    region = pattern.region
+def _margin_vertices(graph, axis: int, margin: float | None):
+    """Indices of the vertices within ``margin`` of the low and of the high face."""
+    region = graph.left.region if isinstance(graph, BipartiteGraph) else graph.pattern.region
     if region.kind != "box":
         raise ValueError("crossing is undefined on a torus")
-    n = len(pattern)
-    coords = pattern.points[:, 0]
-    low = np.flatnonzero(coords <= s)
-    high = np.flatnonzero(coords >= region.side - s)
-    if low.size == 0 or high.size == 0:
-        return None
-    # a spanning path has a hop across every empty gap of the axis
-    # coordinates that separates its ends, and no pair across a gap whose
-    # float square exceeds s*s passes the d2 <= s*s predicate
-    xs = np.sort(coords)
-    gaps = np.diff(xs)
-    if np.any((gaps * gaps > s * s) & (xs[1:] > s) & (xs[:-1] < region.side - s)):
-        return None
-    ui, vi, _ = unigraph_edges(pattern, s)
-    source, sink = n, n + 1
-    rows = np.concatenate([ui, np.full(low.size, source), np.full(high.size, sink)])
-    cols = np.concatenate([vi, low, high])
-    steps = np.concatenate([np.maximum(ui, vi), low, high]) + 1
-    tree = minimum_spanning_tree(coo_matrix((steps, (rows, cols)), shape=(n + 2, n + 2)))
-    _, pred = breadth_first_order(tree, source, directed=False, return_predecessors=True)
-    if pred[sink] < 0:
-        return None
-    # every tree edge weighs the later arrival of its ends, so the bottleneck
-    # is the latest point on the path
-    latest, v = -1, int(pred[sink])
-    while v != source:
-        latest = max(latest, v)
-        v = int(pred[v])
-    return latest + 1
+    if margin is None:
+        margin = graph.radius
+    coords = graph.vertex_coords()[:, axis]
+    return np.flatnonzero(coords <= margin), np.flatnonzero(coords >= region.side - margin)
 
 
 def crossing_exists(graph, axis: int = 0, margin: float | None = None) -> bool:
@@ -406,20 +373,58 @@ def crossing_exists(graph, axis: int = 0, margin: float | None = None) -> bool:
     one with coordinate >= side - margin; the margin defaults to the graph's
     connection radius. Undefined (and rejected) on a torus.
     """
-    if isinstance(graph, BipartiteGraph):
-        region = graph.left.region
-    else:
-        region = graph.pattern.region
-    if region.kind != "box":
-        raise ValueError("crossing is undefined on a torus")
-    if margin is None:
-        margin = graph.radius
-    if graph.n_vertices == 0:
-        return False
-    coords = graph.vertex_coords()[:, axis]
-    labels, _ = components(graph)
-    low = labels[coords <= margin]
-    high = labels[coords >= region.side - margin]
+    low, high = _margin_vertices(graph, axis, margin)
     if low.size == 0 or high.size == 0:
         return False
-    return bool(np.intersect1d(low, high).size > 0)
+    labels, _ = components(graph)
+    return bool(np.intersect1d(labels[low], labels[high]).size > 0)
+
+
+def gap_blocks_crossing(coords, side: float, s: float) -> bool:
+    """Whether no graph with hops <= s can span the box, by its axis coordinates.
+
+    ``coords`` are the vertices' first coordinates and the margin is s. A
+    spanning path needs a vertex in each margin and hops across every empty
+    gap of the sorted coordinates that separates the margins, and no pair
+    across a gap whose float square exceeds s*s passes the ``d2 <= s*s``
+    predicate. This needs no edges.
+    """
+    xs = np.sort(coords)
+    if xs.size == 0 or xs[0] > s or xs[-1] < side - s:
+        return True
+    gaps = np.diff(xs)
+    return bool(np.any((gaps * gaps > s * s) & (xs[1:] > s) & (xs[:-1] < side - s)))
+
+
+def crossing_step(graph, steps) -> int | None:
+    """Smallest step k at which the vertices arrived by then span the box.
+
+    Vertex v arrives at step ``steps[v]``, an integer >= 1 (scipy's spanning
+    tree drops zero weights). Spanning at step k is the event of
+    :func:`crossing_exists` (first axis, default margin) on the subgraph of
+    the vertices with ``steps <= k``, so it is monotone in k. An edge, and
+    the link of a margin vertex to a super source (low face) or super sink
+    (high face), is present from the later arrival of its ends; k is the
+    bottleneck of the minimax source-sink path, read off a minimum spanning
+    tree. None when the whole graph does not span.
+    """
+    low, high = _margin_vertices(graph, 0, None)
+    if low.size == 0 or high.size == 0:
+        return None
+    steps = np.asarray(steps, dtype=np.int64)
+    nv, src, dst = _edge_arrays(graph)
+    source, sink = nv, nv + 1
+    rows = np.concatenate([src, np.full(low.size, source), np.full(high.size, sink)])
+    cols = np.concatenate([dst, low, high])
+    weights = np.concatenate([np.maximum(steps[src], steps[dst]), steps[low], steps[high]])
+    tree = minimum_spanning_tree(coo_matrix((weights, (rows, cols)), shape=(nv + 2, nv + 2)))
+    _, pred = breadth_first_order(tree, source, directed=False, return_predecessors=True)
+    if pred[sink] < 0:
+        return None
+    # the path's bottleneck is the latest arrival among its vertices, since
+    # every tree edge weighs the later arrival of its ends
+    latest, v = 0, int(pred[sink])
+    while v != source:
+        latest = max(latest, int(steps[v]))
+        v = int(pred[v])
+    return latest

@@ -7,12 +7,15 @@ located by bisection on the intensity at a target crossing probability,
 reusing one batch of coupled seeds across probe values so the per-seed
 crossing indicator is monotone along the probed axis.
 
-On the one-type axis each seed is swept once (Newman and Ziff, PRL 85:4104,
-2000, in the continuum): its crossing time T is the arrival time of the point
-with which the coupled pattern first crosses, so the seed crosses at
-intensity lam exactly when ``T <= lam * volume``. Every probe of a bisection
-or of a probe list is then a float comparison against the stored times. The
-B axis of the AB graph is still re-simulated at every probe.
+Probes never re-simulate a seed (Newman and Ziff, PRL 85:4104, 2000, in the
+continuum). Each seed is swept for its crossing time: on the one-type axis T
+is the arrival time of the A point with which the coupled pattern first
+crosses, and on the B axis of the AB graph, with the A pattern fixed, T_B is
+the arrival time of the B point that completes the first crossing. The seed
+crosses at intensity lam (or mu) exactly when ``T <= lam * volume`` (``T_B <=
+mu * volume``), so every probe of a bisection or of a probe list is a float
+comparison against the stored times. Both times are bottleneck steps of one
+primitive, :func:`abperc.geomgraph.crossing_step`.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EstimationError, ResourceLimitError
 from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
-from .geomgraph import build_bipartite, build_unigraph, crossing_exists, crossing_prefix_length
+from .geomgraph import (build_bipartite, build_unigraph, crossing_exists, crossing_step,
+                        gap_blocks_crossing)
 
 DEFAULT_MU_MAX = 1.0e6
 # expected point budget per trial; beyond this a probe would thrash memory
@@ -87,28 +93,88 @@ def one_type_crossing_trial(seed: int, trial: int, lam: float, r: float, L: floa
     return crossing_exists(graph)
 
 
-def one_type_crossing_time(seed: int, trial: int, start: float, top: float, r: float,
-                           L: float, d: int) -> float:
-    """Crossing time T of one trial: the indicator of
-    :func:`one_type_crossing_trial` at intensity lam is ``T <= lam * volume``.
+def _require_budget(intensity: float, region: Region, stream: str) -> None:
+    expected = intensity * region.volume
+    if expected > MAX_EXPECTED_POINTS:
+        raise ResourceLimitError(
+            f"expected {stream} count {expected:.3g} exceeds the per-trial budget")
 
-    T is the event time of the point with which the coupled A pattern first
-    crosses at distance 2r; inf when the pattern at ``top`` does not cross.
-    Prefixes of the pattern at ``top`` are swept at intensities doubling from
-    ``start`` (0 < start <= top, or start = top = 0) until one crosses.
+
+def _sweep(sampler: CoupledSampler, start: float, top: float, crossing_count) -> float:
+    """Crossing time of the pattern that ``sampler`` couples across intensities.
+
+    ``crossing_count(points, lam)`` takes the swept pattern at intensity lam
+    and returns the smallest k such that its first k points complete a
+    crossing, or None. Prefixes of the pattern at ``top`` are tried at
+    intensities doubling from ``start`` (0 < start <= top, or start = top = 0)
+    until one crosses. The time is the k-th event time (0 for k = 0), so the
+    crossing holds at intensity lam exactly when ``time <= lam * volume``;
+    inf when the pattern at ``top`` does not cross.
     """
-    region = Region("box", L, d)
-    sampler = CoupledSampler(region, seed, "A", path=(trial,))
+    _require_budget(top, sampler.region, sampler.stream)
     points = sampler.prefix(top).points
     lam = start
     while True:
-        pattern = PointPattern(region, points[:sampler.count_at(lam)], lam, seed)
-        k = crossing_prefix_length(pattern, 2.0 * r)
+        k = crossing_count(points[:sampler.count_at(lam)], lam)
         if k is not None:
-            return sampler.event_time(k)
+            return sampler.event_time(k) if k else 0.0
         if lam >= top:
             return math.inf
         lam = min(2.0 * lam, top)
+
+
+def one_type_crossing_time(seed: int, trial: int, start: float, top: float, r: float,
+                           L: float, d: int) -> float:
+    """Crossing time T of one trial: the indicator of
+    :func:`one_type_crossing_trial` at intensity lam is ``T <= lam * volume``
+    for every lam in [0, top]; T is inf when the pattern at ``top`` does not
+    cross. The sweep starts at ``start`` as in :func:`_sweep`.
+    """
+    region = Region("box", L, d)
+    sampler = CoupledSampler(region, seed, "A", path=(trial,))
+
+    def crossing_count(points, lam):
+        if gap_blocks_crossing(points[:, 0], L, 2.0 * r):
+            return None
+        graph = build_unigraph(PointPattern(region, points, lam, seed), 2.0 * r)
+        # point i arrives at step i + 1
+        return crossing_step(graph, np.arange(1, len(points) + 1))
+
+    return _sweep(sampler, start, top, crossing_count)
+
+
+def ab_crossing_time(seed: int, trial: int, lam: float, start: float, top: float, r: float,
+                     L: float, d: int) -> float:
+    """B crossing time T_B of one trial at A intensity lam: the indicator of
+    :func:`ab_crossing_trial` at B intensity mu is ``T_B <= mu * volume`` for
+    every mu in [0, top]; T_B is inf when the graph with the B pattern at
+    ``top`` does not cross. The sweep starts at ``start`` as in :func:`_sweep`.
+    """
+    region = Region("box", L, d)
+    _require_budget(lam, region, "A")
+    X = CoupledSampler(region, seed, "A", path=(trial,)).prefix(lam)
+    sampler = CoupledSampler(region, seed, "B", path=(trial,))
+
+    def crossing_count(points, mu):
+        if gap_blocks_crossing(np.concatenate([X.points[:, 0], points[:, 0]]), L, r):
+            return None
+        graph = build_bipartite(X, PointPattern(region, points, mu, seed), r)
+        # A points are present from step 1 and B point j arrives at step j + 2,
+        # so a crossing at step k needs the first k - 1 B points
+        steps = np.concatenate([np.ones(len(X), np.int64), np.arange(2, len(points) + 2)])
+        k = crossing_step(graph, steps)
+        return None if k is None else k - 1
+
+    return _sweep(sampler, start, top, crossing_count)
+
+
+def _sweep_start(values, unit: float) -> float:
+    """Start of a doubling sweep up to ``max(values)``: the smallest positive
+    value, or ``unit`` where that is smaller. Each crossing time is exact from
+    any start, which sets only the cost of the sweep."""
+    if max(values, default=0.0) <= 0:
+        return 0.0
+    return min([v for v in values if v > 0] + [unit])
 
 
 def _crossing_times(start, top, r, L, trials, seed, d, jobs) -> list[float]:
@@ -122,13 +188,29 @@ def _crossings_at(times, lam: float, volume: float) -> list[bool]:
     return [T <= t for T in times]
 
 
+def _log_probe(probes: list, value: float, flags) -> float:
+    """Append the estimate from per-seed crossing ``flags`` at ``value``; returns it."""
+    succ, trials = sum(flags), len(flags)
+    probes.append(ProbeResult(value, succ, trials, *wilson_interval(succ, trials)))
+    return succ / trials
+
+
+def _bisect(low: float, high: float, tol: float, target: float, probe) -> tuple:
+    """Halve [low, high] to width <= tol, keeping ``probe(low) < target <= probe(high)``."""
+    while high - low > tol:
+        mid = 0.5 * (low + high)
+        if probe(mid) >= target:
+            high = mid
+        else:
+            low = mid
+    return low, high
+
+
 def ab_crossing_trial(seed: int, trial: int, lam: float, mu: float, r: float, L: float,
                       d: int) -> bool:
     """Crossing indicator for the bipartite graph at radius r."""
     region = Region("box", L, d)
-    if mu * region.volume > MAX_EXPECTED_POINTS:
-        raise ResourceLimitError(
-            f"expected B count {mu * region.volume:.3g} exceeds the per-trial budget")
+    _require_budget(mu, region, "B")
     sampler_a = CoupledSampler(region, seed, "A", path=(trial,))
     sampler_b = CoupledSampler(region, seed, "B", path=(trial,))
     X = sampler_a.prefix(lam)
@@ -166,55 +248,51 @@ def _validate_geometry(r: float, L: float, trials: int) -> None:
         raise ValueError("at least one trial is required")
 
 
+def _validate_target(target: float) -> None:
+    # a crossing probability above 1 is never reached, whatever the intensity
+    if not 0 < target <= 1:
+        raise ValueError(f"target crossing probability must lie in (0, 1], got {target!r}")
+
+
 def crossing_probability(kind: str, intensities, r: float, L: float, trials: int,
                          seed: int, d: int = 2, jobs: int = 1) -> list[ProbeResult]:
     """Crossing-probability estimates with Wilson intervals.
 
     ``kind`` is "one-type" (intensities are lambda values, graph distance 2r)
     or "AB" (intensities are (lambda, mu) pairs, graph radius r; the probe
-    value of each result records the B intensity).
+    value of each result records the B intensity). Each seed is swept once
+    per distinct lambda on the AB axis, and once in all on the one-type axis.
     """
     _validate_geometry(r, L, trials)
+    volume = Region("box", L, d).volume
     if kind == "one-type":
         values = [float(v) for v in intensities]
         for lam in values:
             _require_finite(lam=lam)
             if lam < 0:
                 raise ValueError("intensity must be nonnegative")
-        top = max(values, default=0.0)
-        start = min((v for v in values if v > 0), default=top)
-        times = _crossing_times(start, top, r, L, trials, seed, d, jobs)
-        volume = Region("box", L, d).volume
+        times = _crossing_times(_sweep_start(values, (2.0 * r)**-d), max(values, default=0.0),
+                                r, L, trials, seed, d, jobs)
         counts = [(lam, sum(_crossings_at(times, lam, volume))) for lam in values]
     elif kind == "AB":
-        counts = []
+        pairs = []
         for value in intensities:
             lam, mu = (float(v) for v in value)
             _require_finite(lam=lam, mu=mu)
             if lam < 0 or mu < 0:
                 raise ValueError("intensities must be nonnegative")
-            tasks = [(seed, t, lam, mu, r, L, d) for t in range(trials)]
-            counts.append((mu, sum(parallel_starmap(ab_crossing_trial, tasks, jobs))))
+            pairs.append((lam, mu))
+        times = {}
+        for lam in dict.fromkeys(lam for lam, _ in pairs):
+            mus = [mu for a, mu in pairs if a == lam]
+            tasks = [(seed, t, lam, _sweep_start(mus, r**-d), max(mus), r, L, d)
+                     for t in range(trials)]
+            times[lam] = parallel_starmap(ab_crossing_time, tasks, jobs)
+        counts = [(mu, sum(_crossings_at(times[lam], mu, volume))) for lam, mu in pairs]
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return [ProbeResult(value, succ, trials, *wilson_interval(succ, trials))
             for value, succ in counts]
-
-
-class _MonotoneProbeHistory:
-    """Per-seed indicators across probes; checks monotone coupling."""
-
-    def __init__(self):
-        self.records = {}
-
-    def add(self, value: float, flags) -> None:
-        self.records[value] = list(flags)
-        values = sorted(self.records)
-        for lower, upper in zip(values, values[1:]):
-            for a, b in zip(self.records[lower], self.records[upper]):
-                if a and not b:
-                    raise AssertionError(
-                        "coupled crossing indicator decreased along the probed axis")
 
 
 def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
@@ -228,6 +306,7 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
     """
     _validate_geometry(r, L, trials)
     _require_finite(tol=tol, target=target)
+    _validate_target(target)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if bracket is None:
@@ -237,21 +316,14 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
     if not 0 <= low < high:
         raise ValueError("bracket must satisfy 0 <= low < high")
 
-    # every probe lies in [low, high]; the start of the doubling sweep only
-    # sets its cost, since each crossing time is exact whatever the start
-    start = low if low > 0 else min(tol, high)
+    # every probe lies in [low, high]
+    start = low if low > 0 else min((2.0 * r)**-d, high)
     times = _crossing_times(start, high, r, L, trials, seed, d, jobs)
     volume = Region("box", L, d).volume
-    history = _MonotoneProbeHistory()
     probes = []
 
     def probe(lam: float) -> float:
-        flags = _crossings_at(times, lam, volume)
-        history.add(lam, flags)
-        succ = int(sum(flags))
-        ci = wilson_interval(succ, trials)
-        probes.append(ProbeResult(lam, succ, trials, *ci))
-        return succ / trials
+        return _log_probe(probes, lam, _crossings_at(times, lam, volume))
 
     p_low = probe(low)
     p_high = probe(high)
@@ -259,12 +331,7 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
         raise EstimationError(
             f"initial bracket does not straddle the target: p({low:g})={p_low:.3f}, "
             f"p({high:g})={p_high:.3f}, target={target}")
-    while high - low > tol:
-        mid = 0.5 * (low + high)
-        if probe(mid) >= target:
-            high = mid
-        else:
-            low = mid
+    low, high = _bisect(low, high, tol, target, probe)
     return CriticalEstimate(
         parameter="lambda", estimate=0.5 * (low + high), bracket=(low, high),
         box_side=L, trials_per_probe=trials, target=target, radius=r, dimension=d,
@@ -281,10 +348,13 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     crossing probability a "no percolation detected" estimate is returned
     without probing enormous B intensities (consistent with an infinite
     critical value below the one-type critical intensity). Otherwise the
-    upper probe doubles until success, then bisection runs to ``tol``.
+    upper probe doubles from r^-d until success, then bisection runs to
+    ``tol``. At each doubling level only the seeds not yet crossed are swept
+    for their B crossing time, so every probe is ``T_B <= mu * volume``.
     """
     _validate_geometry(r, L, trials)
     _require_finite(lam=lam, tol=tol, target=target)
+    _validate_target(target)
     if lam <= 0:
         raise ValueError("A intensity must be positive")
     if not mu_max > 0:
@@ -292,17 +362,8 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
 
-    history = _MonotoneProbeHistory()
+    volume = Region("box", L, d).volume
     probes = []
-
-    def probe(mu: float) -> float:
-        tasks = [(seed, t, lam, mu, r, L, d) for t in range(trials)]
-        flags = parallel_starmap(ab_crossing_trial, tasks, jobs)
-        history.add(mu, flags)
-        succ = int(sum(flags))
-        ci = wilson_interval(succ, trials)
-        probes.append(ProbeResult(mu, succ, trials, *ci))
-        return succ / trials
 
     def result(estimate, bracket, no_percolation=False):
         return CriticalEstimate(
@@ -311,25 +372,30 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
             seed=seed, companion_intensity=lam, no_percolation=no_percolation,
             probes=probes)
 
-    limit_tasks = [(seed, t, lam, r, L, d) for t in range(trials)]
-    limit_flags = parallel_starmap(dense_b_limit_trial, limit_tasks, jobs)
-    history.add(math.inf, limit_flags)
-    limit_succ = int(sum(limit_flags))
-    probes.append(ProbeResult(math.inf, limit_succ, trials,
-                              *wilson_interval(limit_succ, trials)))
-    if limit_succ / trials < target:
+    # the dense-B limit is one-type crossing of the A pattern at lam
+    limit_times = _crossing_times(lam, lam, r, L, trials, seed, d, jobs)
+    if _log_probe(probes, math.inf, _crossings_at(limit_times, lam, volume)) < target:
         return result(math.inf, (math.inf, math.inf), no_percolation=True)
 
+    times = [math.inf] * trials
+
+    def probe(mu: float) -> float:
+        return _log_probe(probes, mu, _crossings_at(times, mu, volume))
+
+    def sweep_level(mu: float) -> None:
+        # a seed with a finite time crossed at a lower level and keeps it
+        pending = [t for t, T in enumerate(times) if T == math.inf]
+        tasks = [(seed, t, lam, mu, mu, r, L, d) for t in pending]
+        for t, T in zip(pending, parallel_starmap(ab_crossing_time, tasks, jobs)):
+            times[t] = T
+
     low, high = 0.0, r**-d
+    sweep_level(high)
     while probe(high) < target:
         low = high
         high *= 2.0
         if high > mu_max:
             return result(math.inf, (low, math.inf), no_percolation=True)
-    while high - low > tol:
-        mid = 0.5 * (low + high)
-        if probe(mid) >= target:
-            high = mid
-        else:
-            low = mid
+        sweep_level(high)
+    low, high = _bisect(low, high, tol, target, probe)
     return result(0.5 * (low + high), (low, high))

@@ -66,6 +66,12 @@ class TestArgumentHandling:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_over_budget_intensity_exits_1(self, tmp_path, capsys):
+        code = run_cli(["percolate", "--intensities", "1e9", "--r", "1", "--L", "10",
+                        "--trials", "2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no equals sign here\n")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abperc import (
     DisjointSets,
@@ -13,11 +15,12 @@ from abperc import (
     build_unigraph,
     components,
     crossing_exists,
-    crossing_prefix_length,
+    crossing_step,
     is_connected_g1,
     min_degree,
     radius_for_sqdist,
 )
+from abperc.geomgraph import gap_blocks_crossing
 from conftest import (
     bfs_components,
     bipartite_adjacency,
@@ -25,6 +28,11 @@ from conftest import (
     brute_force_self_pairs,
     random_pattern,
 )
+
+
+def prefix_length(X, s):
+    """Smallest k whose first k points span the box at distance s."""
+    return crossing_step(build_unigraph(X, s), np.arange(1, len(X) + 1))
 
 
 class TestRadiusForSqdist:
@@ -339,7 +347,7 @@ class TestCrossing:
             X = PointPattern(region, rng.random((n, 2)) * 8.0, float(n), 0)
             want = next((k for k in range(1, n + 1) if crossing_exists(
                 build_unigraph(PointPattern(region, X.points[:k], 1.0, 0), 1.0))), None)
-            assert crossing_prefix_length(X, 1.0) == want
+            assert prefix_length(X, 1.0) == want
             hits += want is not None
         assert 0 < hits < 30
 
@@ -351,24 +359,63 @@ class TestCrossing:
         # needs every chain point
         pts = np.vstack([[[5.0, 9.5]], chain])
         X = PointPattern(region, pts, 1.0, 0)
-        assert crossing_prefix_length(X, 1.0) == len(pts)
-        assert crossing_prefix_length(PointPattern(region, chain[::-1], 1.0, 0), 1.0) == len(chain)
-        assert crossing_prefix_length(PointPattern(region, np.empty((0, 2)), 0.0, 0), 1.0) is None
+        assert prefix_length(X, 1.0) == len(pts)
+        assert prefix_length(PointPattern(region, chain[::-1], 1.0, 0), 1.0) == len(chain)
+        assert prefix_length(PointPattern(region, np.empty((0, 2)), 0.0, 0), 1.0) is None
         # neighbours exactly s apart along the axis connect; one float wider
         # and the chain breaks
         xs = np.arange(0.5, 10.0, 1.0)
         tight = np.column_stack([xs, np.full_like(xs, 5.0)])
-        assert crossing_prefix_length(PointPattern(region, tight, 1.0, 0), 1.0) == len(xs)
+        assert prefix_length(PointPattern(region, tight, 1.0, 0), 1.0) == len(xs)
         tight[5, 0] = np.nextafter(tight[5, 0], 10.0)
         broken = PointPattern(region, tight, 1.0, 0)
-        assert crossing_prefix_length(broken, 1.0) is None
+        assert prefix_length(broken, 1.0) is None
         assert not crossing_exists(build_unigraph(broken, 1.0))
         # one point in both margins spans on its own
         narrow = Region("box", 4.0, 2)
-        assert crossing_prefix_length(PointPattern(narrow, [[3.0, 1.0], [2.0, 1.0]], 1.0, 0),
-                                      2.0) == 2
+        assert prefix_length(PointPattern(narrow, [[3.0, 1.0], [2.0, 1.0]], 1.0, 0), 2.0) == 2
         with pytest.raises(ValueError):
-            crossing_prefix_length(PointPattern(Region("torus", 10.0, 2), chain, 1.0, 0), 1.0)
+            prefix_length(PointPattern(Region("torus", 10.0, 2), chain, 1.0, 0), 1.0)
+
+    # coordinates on a half-unit lattice put many pairs exactly at distance
+    # 1.0 or at the margins, where the closed-ball predicate decides
+    @given(data=st.data(), bipartite=st.booleans(), side=st.sampled_from([4.0, 5.0, 6.5]))
+    def test_step_is_first_crossing_step(self, data, bipartite, side):
+        region = Region("box", side, 2)
+        cells = int(side * 2)
+        coord = st.integers(0, cells - 1).map(lambda c: c * 0.5)
+        points = st.lists(st.tuples(coord, coord), max_size=40)
+        left = np.array(data.draw(points), dtype=float).reshape(-1, 2)
+        right = np.array(data.draw(points) if bipartite else [], dtype=float).reshape(-1, 2)
+        n = len(left) + len(right)
+        steps = np.array(data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)),
+                         dtype=np.int64)
+
+        def graph_of(keep_left, keep_right):
+            X = PointPattern(region, left[keep_left], 1.0, 0)
+            if bipartite:
+                return build_bipartite(X, PointPattern(region, right[keep_right], 1.0, 0), 1.0)
+            return build_unigraph(X, 1.0)
+
+        everything = np.ones(n, dtype=bool)
+        want = next((k for k in sorted(set(steps.tolist())) if crossing_exists(graph_of(
+            (steps <= k)[:len(left)], (steps <= k)[len(left):]))), None)
+        assert crossing_step(graph_of(everything[:len(left)], everything[len(left):]),
+                             steps) == want
+        if gap_blocks_crossing(np.concatenate([left[:, 0], right[:, 0]]), side, 1.0):
+            assert want is None
+
+    def test_gap_blocks_crossing_at_exact_spacing(self):
+        xs = np.arange(0.5, 10.0, 1.0)
+        assert not gap_blocks_crossing(xs, 10.0, 1.0)
+        xs[5] = np.nextafter(xs[5], 10.0)
+        assert gap_blocks_crossing(xs, 10.0, 1.0)
+        # a point in both margins spans on its own, whatever the gaps
+        assert not gap_blocks_crossing(np.array([0.2, 5.0]), 10.0, 5.0)
+        # an empty margin blocks; one exactly s from the face is not empty
+        assert gap_blocks_crossing(np.array([]), 10.0, 1.0)
+        assert gap_blocks_crossing(np.arange(1.5, 10.0, 1.0), 10.0, 1.0)
+        assert not gap_blocks_crossing(np.arange(1.0, 9.5, 1.0), 10.0, 1.0)
 
     def test_bipartite_crossing_uses_both_sides(self):
         region = Region("box", 8.0, 2)

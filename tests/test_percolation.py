@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from abperc import (
     EstimationError,
     Region,
+    ResourceLimitError,
     crossing_probability,
     estimate_lambda_c,
     estimate_mu_c,
     wilson_interval,
 )
 from abperc.percolation import (
-    _MonotoneProbeHistory,
+    ab_crossing_time,
     ab_crossing_trial,
     dense_b_limit_trial,
     one_type_crossing_time,
@@ -61,6 +62,18 @@ class TestCrossingProbability:
         with pytest.raises(ValueError):
             crossing_probability("two-type", [1.0], r=1.0, L=10.0, trials=10, seed=0)
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           pairs=st.lists(st.tuples(st.sampled_from([0.3, 0.9]),
+                                    st.one_of(st.just(0.0), st.floats(0.05, 3.0))),
+                          min_size=1, max_size=4))
+    def test_ab_matches_per_probe_trials(self, seed, pairs):
+        trials = 6
+        probes = crossing_probability("AB", pairs, r=1.0, L=8.0, trials=trials, seed=seed)
+        for (lam, mu), probe in zip(pairs, probes):
+            assert probe.value == mu
+            assert probe.successes == sum(ab_crossing_trial(seed, t, lam, mu, 1.0, 8.0, 2)
+                                          for t in range(trials))
+
     def test_monotone_in_mu_within_ci(self):
         mus = [0.5, 1.0, 2.0, 4.0]
         probes = crossing_probability("AB", [(0.9, mu) for mu in mus],
@@ -68,19 +81,6 @@ class TestCrossingProbability:
         # coupled B prefixes make the estimate exactly nondecreasing per seed
         phats = [p.p_hat for p in probes]
         assert all(a <= b for a, b in zip(phats, phats[1:]))
-
-
-class TestMonotoneHistory:
-    def test_accepts_monotone(self):
-        hist = _MonotoneProbeHistory()
-        hist.add(1.0, [False, False, True])
-        hist.add(2.0, [False, True, True])
-
-    def test_rejects_violation(self):
-        hist = _MonotoneProbeHistory()
-        hist.add(1.0, [True])
-        with pytest.raises(AssertionError):
-            hist.add(2.0, [False])
 
 
 class TestEstimateLambdaC:
@@ -136,6 +136,13 @@ class TestEstimateMuC:
         # one-type crossing uses the connection distance (2r) as margin
         assert one_type_crossing_trial(10, 0, 30.0, 1.0, 8.0, 2) in (True, False)
 
+    @pytest.mark.parametrize("target", [0.0, -0.5, 1.5])
+    def test_target_outside_unit_interval_rejected(self, target):
+        with pytest.raises(ValueError):
+            estimate_mu_c(r=1.0, lam=0.9, L=12.0, trials=10, tol=0.5, seed=0, target=target)
+        with pytest.raises(ValueError):
+            estimate_lambda_c(r=1.0, L=10.0, trials=10, tol=0.1, seed=0, target=target)
+
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ValueError):
             estimate_mu_c(r=1.0, lam=0.0, L=12.0, trials=10, tol=0.5, seed=0)
@@ -168,6 +175,31 @@ class TestCrossingTime:
     def test_no_crossing_by_top_is_infinite(self):
         assert one_type_crossing_time(3, 0, 0.0, 0.0, 1.0, 10.0, 2) == math.inf
         assert one_type_crossing_time(3, 0, 0.001, 0.002, 1.0, 30.0, 2) == math.inf
+        assert ab_crossing_time(3, 0, 0.5, 0.0, 0.0, 1.0, 10.0, 2) == math.inf
+
+    @given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 1000),
+           side=st.sampled_from(["4r", 8.0, 12.0]), d=st.sampled_from([2, 3]),
+           lam=st.floats(0.02, 1.5), top=st.floats(0.05, 3.0), halvings=st.integers(0, 12))
+    def test_b_time_matches_direct_trial(self, seed, trial, side, d, lam, top, halvings):
+        r = 1.0
+        L = 4 * r if side == "4r" else side
+        volume = Region("box", L, d).volume
+        T = ab_crossing_time(seed, trial, lam, top * 2.0**-halvings, top, r, L, d)
+        mus = [0.0, top]
+        if math.isfinite(T):
+            at = T / volume
+            mus += [at, math.nextafter(at, 0.0), math.nextafter(at, math.inf)]
+        for mu in mus:
+            assert (T <= mu * volume) == ab_crossing_trial(seed, trial, lam, mu, r, L, d)
+
+    def test_sampling_budget_guard(self):
+        # raised before any point is sampled
+        with pytest.raises(ResourceLimitError):
+            one_type_crossing_time(0, 0, 1.0, 1e9, 1.0, 10.0, 2)
+        with pytest.raises(ResourceLimitError):
+            ab_crossing_time(0, 0, 0.5, 1.0, 1e9, 1.0, 10.0, 2)
+        with pytest.raises(ResourceLimitError):
+            ab_crossing_time(0, 0, 1e9, 1.0, 1.0, 1.0, 10.0, 2)
 
 
 class TestNonFiniteInputs:
