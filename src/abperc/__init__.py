@@ -30,17 +30,14 @@ from .connectivity import (
 from .errors import EstimationError, ResourceLimitError
 from .geomgraph import (
     BipartiteGraph,
-    DisjointSets,
     Graph,
     NeighborGrid,
     build_bipartite,
-    build_g1,
     build_unigraph,
     components,
     crossing_exists,
     crossing_step,
     is_connected_g1,
-    min_degree,
     radius_for_sqdist,
 )
 from .latticecoupling import (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomgraph import NeighborGrid, bipartite_edges, radius_for_sqdist
+from .geomgraph import bipartite_edges, radius_for_sqdist
 from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
 
@@ -68,11 +68,10 @@ def _default_cap(region: Region, nx: int, ny: int) -> float:
 
 def _sweep_to_connectivity(X, Y, cap):
     nx, ny = len(X), len(Y)
-    grid = NeighborGrid(Y.points, cap, X.region)
-    xi, yi, sqd = grid.pairs_against(X.points, cap)
+    xi, yi, sqd = bipartite_edges(X, Y, cap)
     if xi.size == 0:
         return None
-    order = np.argsort(sqd, kind="stable")
+    order = np.argsort(sqd)
     xi, yi, sqd = xi[order], yi[order], sqd[order]
 
     parent = list(range(nx + ny))

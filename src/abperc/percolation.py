@@ -25,15 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, ResourceLimitError
+from .errors import EstimationError
 from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
 from .geomgraph import (build_bipartite, build_unigraph, crossing_exists, crossing_step,
                         gap_blocks_crossing)
 
 DEFAULT_MU_MAX = 1.0e6
-# expected point budget per trial; beyond this a probe would thrash memory
-MAX_EXPECTED_POINTS = 2.0e7
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -93,13 +91,6 @@ def one_type_crossing_trial(seed: int, trial: int, lam: float, r: float, L: floa
     return crossing_exists(graph)
 
 
-def _require_budget(intensity: float, region: Region, stream: str) -> None:
-    expected = intensity * region.volume
-    if expected > MAX_EXPECTED_POINTS:
-        raise ResourceLimitError(
-            f"expected {stream} count {expected:.3g} exceeds the per-trial budget")
-
-
 def _sweep(sampler: CoupledSampler, start: float, top: float, crossing_count) -> float:
     """Crossing time of the pattern that ``sampler`` couples across intensities.
 
@@ -111,7 +102,6 @@ def _sweep(sampler: CoupledSampler, start: float, top: float, crossing_count) ->
     crossing holds at intensity lam exactly when ``time <= lam * volume``;
     inf when the pattern at ``top`` does not cross.
     """
-    _require_budget(top, sampler.region, sampler.stream)
     points = sampler.prefix(top).points
     lam = start
     while True:
@@ -151,7 +141,6 @@ def ab_crossing_time(seed: int, trial: int, lam: float, start: float, top: float
     ``top`` does not cross. The sweep starts at ``start`` as in :func:`_sweep`.
     """
     region = Region("box", L, d)
-    _require_budget(lam, region, "A")
     X = CoupledSampler(region, seed, "A", path=(trial,)).prefix(lam)
     sampler = CoupledSampler(region, seed, "B", path=(trial,))
 
@@ -210,7 +199,6 @@ def ab_crossing_trial(seed: int, trial: int, lam: float, mu: float, r: float, L:
                       d: int) -> bool:
     """Crossing indicator for the bipartite graph at radius r."""
     region = Region("box", L, d)
-    _require_budget(mu, region, "B")
     sampler_a = CoupledSampler(region, seed, "A", path=(trial,))
     sampler_b = CoupledSampler(region, seed, "B", path=(trial,))
     X = sampler_a.prefix(lam)

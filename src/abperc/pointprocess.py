@@ -13,8 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .reporting import write_csv
 from .seeding import STREAM_IDS, derived_rng
+
+# expected point count of one pattern; beyond it sampling would exhaust memory
+MAX_EXPECTED_POINTS = 2.0e7
+
+
+def _require_budget(expected: float, what: str) -> None:
+    if expected > MAX_EXPECTED_POINTS:
+        raise ResourceLimitError(
+            f"expected {what} count {expected:.3g} exceeds the sampling budget")
 
 
 @dataclass(frozen=True)
@@ -88,9 +98,12 @@ def sample_poisson(region: Region, intensity: float, seed: int) -> PointPattern:
 
     The point count is Poisson(intensity * volume); locations are independent
     uniforms on the region. Deterministic for a fixed (region, intensity, seed).
+    Raises ResourceLimitError when more than ``MAX_EXPECTED_POINTS`` points
+    are expected.
     """
     if intensity < 0:
         raise ValueError("intensity must be nonnegative")
+    _require_budget(intensity * region.volume, "point")
     gen = derived_rng(seed)
     count = int(gen.poisson(intensity * region.volume))
     points = gen.random((count, region.dim)) * region.side
@@ -129,10 +142,15 @@ class CoupledSampler:
         self._times = np.concatenate([self._times, self._times[-1] + np.cumsum(gaps)])
 
     def count_at(self, intensity: float) -> int:
-        """Number of points of the coupled process at this intensity."""
+        """Number of points of the coupled process at this intensity.
+
+        Raises ResourceLimitError, before sampling, when more than
+        ``MAX_EXPECTED_POINTS`` points are expected.
+        """
         if not (math.isfinite(intensity) and intensity >= 0):
             raise ValueError(f"intensity must be finite and nonnegative, got {intensity!r}")
         t = intensity * self.region.volume
+        _require_budget(t, self.stream)
         while self._times[-1] <= t:
             self._grow_times()
         return int(np.searchsorted(self._times, t, side="right"))

@@ -1,10 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from abperc import PointPattern, Region, radius_for_sqdist
+from abperc import Graph, PointPattern, Region, build_bipartite, radius_for_sqdist
 
 # property tests draw the same examples on every run, and a slow example on a
 # loaded machine is not reported as a deadline error
@@ -69,6 +70,26 @@ def bipartite_adjacency(region, pts_a, pts_b, radius):
         adj[i].append(na + j)
         adj[na + j].append(i)
     return adj
+
+
+def build_g1(X, Y, r):
+    """Graph on X joining the pairs that share at least one Y neighbor at radius r.
+
+    Swap the arguments to obtain the companion graph on Y.
+    """
+    bip = build_bipartite(X, Y, r)
+    edges = set()
+    for y in range(len(Y)):
+        edges.update(combinations(sorted(bip.edges_left[bip.edges_right == y].tolist()), 2))
+    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return Graph(X, float(r), pairs[:, 0], pairs[:, 1])
+
+
+def min_degree(graph):
+    """Minimum vertex degree. Raises on an empty vertex set."""
+    if graph.n_vertices == 0:
+        raise ValueError("minimum degree undefined for an empty vertex set")
+    return int(graph.degrees().min())
 
 
 def rho_oracle(X, Y, connectivity_check=None):

@@ -19,7 +19,6 @@ from scipy.stats import binomtest
 from abperc import (
     BoundInputs,
     asymptotic_constant,
-    build_g1,
     components,
     delta_count,
     implication_holds,
@@ -30,7 +29,7 @@ from abperc import (
     sample_coupled_fields,
 )
 from abperc.cli import main as cli_main
-from conftest import random_pattern, rho_oracle
+from conftest import build_g1, random_pattern, rho_oracle
 
 SEED = 20260811
 LAMBDA_BAND = (0.287, 0.431)

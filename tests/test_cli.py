@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from abperc import CoupledSampler
 from abperc.cli import ExperimentConfig, build_parser, config_from_args, main, run
 from abperc.reporting import TIMESTAMP_KEY
 
@@ -71,6 +72,18 @@ class TestArgumentHandling:
                         "--trials", "2", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["lln", "mindeg"])
+    def test_over_budget_sample_size_exits_1(self, tmp_path, capsys, monkeypatch, subcommand):
+        # refused before any event time beyond the first block is drawn
+        def grow(self):
+            raise AssertionError("sampling went past the budget check")
+
+        monkeypatch.setattr(CoupledSampler, "_grow_times", grow)
+        code = run_cli([subcommand, "--n", "1e9", "--trials", "1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -6,17 +6,15 @@ import pytest
 from abperc import (
     PointPattern,
     Region,
-    build_g1,
     g1_min_degree_is_zero,
     is_connected_g1,
     lln_statistic,
     lln_sweep,
-    min_degree,
     min_degree_diagnostic,
     rho_threshold,
 )
 from abperc.connectivity import radius_for_alpha, summarize_thresholds, threshold_trial
-from conftest import random_pattern, rho_oracle
+from conftest import build_g1, min_degree, random_pattern, rho_oracle
 
 
 class TestRhoThreshold:

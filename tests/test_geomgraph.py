@@ -2,22 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abperc import (
-    DisjointSets,
     NeighborGrid,
     PointPattern,
     Region,
     build_bipartite,
-    build_g1,
     build_unigraph,
     components,
     crossing_exists,
     crossing_step,
     is_connected_g1,
-    min_degree,
     radius_for_sqdist,
 )
 from abperc.geomgraph import gap_blocks_crossing
@@ -26,6 +23,8 @@ from conftest import (
     bipartite_adjacency,
     brute_force_pairs,
     brute_force_self_pairs,
+    build_g1,
+    min_degree,
     random_pattern,
 )
 
@@ -48,20 +47,28 @@ class TestRadiusForSqdist:
         assert radius_for_sqdist(0.0) == 0.0
 
 
-class TestNeighborGrid:
-    def test_every_point_in_exactly_one_bucket(self, unit_square):
-        rng = np.random.default_rng(1)
-        pts = rng.random((200, 2))
-        grid = NeighborGrid(pts, 0.13, unit_square)
-        assert sum(grid.bucket_counts().values()) == 200
+def adversarial_points(data, region, max_size=30):
+    """Draw points on a lattice of spacing side/8, so that many pairs lie exactly
+    a lattice multiple apart and many points coincide, mixed with points whose
+    coordinates may also lie just below the far face (next to the torus wrap)
+    or anywhere."""
+    side = region.side
+    lattice = st.integers(0, 7).map(lambda c: c * side / 8)
+    coord = st.one_of(lattice, st.sampled_from([math.nextafter(side, 0.0), side * (1 - 1e-15)]),
+                      st.floats(0.0, side, exclude_max=True))
+    point = st.tuples(*[lattice] * region.dim) | st.tuples(*[coord] * region.dim)
+    points = data.draw(st.lists(point, max_size=max_size))
+    return np.array(points, dtype=float).reshape(-1, region.dim)
 
+
+class TestNeighborGrid:
     def test_pairs_match_brute_force(self, unit_square):
         rng = np.random.default_rng(2)
         for trial in range(20):
             na, nb = rng.integers(0, 60, size=2)
             a, b = rng.random((na, 2)), rng.random((nb, 2))
             radius = float(rng.uniform(0.02, 0.6))
-            grid = NeighborGrid(b, radius, unit_square)
+            grid = NeighborGrid(b, unit_square)
             qi, pj, sqd = grid.pairs_against(a, radius)
             got = sorted(zip(qi.tolist(), pj.tolist()))
             assert got == brute_force_pairs(unit_square, a, b, radius)
@@ -72,7 +79,7 @@ class TestNeighborGrid:
         rng = np.random.default_rng(3)
         for radius in (0.05, 0.2, 0.45, 0.9):
             a, b = rng.random((40, 2)), rng.random((40, 2))
-            grid = NeighborGrid(b, radius, region)
+            grid = NeighborGrid(b, region)
             qi, pj, _ = grid.pairs_against(a, radius)
             got = sorted(zip(qi.tolist(), pj.tolist()))
             assert got == brute_force_pairs(region, a, b, radius)
@@ -80,20 +87,15 @@ class TestNeighborGrid:
     def test_distance_ties_included(self, unit_square):
         # points exactly at the query radius share an edge (closed ball)
         pts = np.array([[0.25, 0.5]])
-        grid = NeighborGrid(pts, 0.25, unit_square)
+        grid = NeighborGrid(pts, unit_square)
         qi, pj, sqd = grid.pairs_against(np.array([[0.5, 0.5]]), 0.25)
         assert len(qi) == 1 and sqd[0] == 0.0625
 
-    def test_radius_above_cell_side_rejected(self, unit_square):
-        grid = NeighborGrid(np.zeros((1, 2)), 0.1, unit_square)
-        with pytest.raises(ValueError):
-            grid.pairs_against(np.zeros((1, 2)), 0.2)
-
     def test_single_cell_grid_accepts_any_radius(self, unit_square):
-        # one cell per axis scans every pair, so no radius cap applies
+        # no radius cap applies: beyond the diagonal every pair is found
         rng = np.random.default_rng(21)
         pts = rng.random((12, 2))
-        grid = NeighborGrid(pts, 1.0, unit_square)
+        grid = NeighborGrid(pts, unit_square)
         qi, pj, _ = grid.pairs_against(pts, 2.0)
         assert len(qi) == 144  # complete bipartite with itself, self included
 
@@ -102,22 +104,33 @@ class TestNeighborGrid:
         rng = np.random.default_rng(22)
         pts = rng.random((15, 2))
         radius = region.max_distance
-        grid = NeighborGrid(pts, radius, region)
+        grid = NeighborGrid(pts, region)
         qi, pj, _ = grid.pairs_against(pts, radius)
         assert len(qi) == 225  # every pair is within the torus diameter
 
-
-class TestDisjointSets:
-    def test_union_find_invariants(self):
-        ds = DisjointSets(6)
-        assert ds.count == 6
-        assert ds.union(0, 1)
-        assert ds.count == 5
-        assert not ds.union(0, 1)
-        assert ds.count == 5
-        assert ds.find(1) == ds.find(0)
-        root = ds.find(1)
-        assert ds.find(root) == root
+    # each drawn point also gets a copy moved one radius along an axis (and
+    # wrapped): exactly r apart for lattice radii, near-ties otherwise, across
+    # the wrap on a torus. The powers of ten reach 1e-15*side, where only
+    # coinciding points and points across the wrap pair up.
+    @given(data=st.data(), kind=st.sampled_from(["box", "torus"]), d=st.sampled_from([2, 3]),
+           side=st.sampled_from([1.0, 4.0, 6.5]))
+    @settings(max_examples=300)
+    def test_pairs_match_brute_force_on_adversarial_patterns(self, data, kind, d, side):
+        region = Region(kind, side, d)
+        h = side / 8
+        radius = data.draw(st.sampled_from([h, 2 * h, 3 * h, math.sqrt(2) * h, side])
+                           | st.integers(1, 15).map(lambda k: side * 10.0**-k))
+        a = adversarial_points(data, region)
+        moved = a.copy()
+        axis = data.draw(st.integers(0, d - 1))
+        moved[:, axis] = (moved[:, axis] + radius) % side
+        a, b = np.vstack([a, moved]), np.vstack([adversarial_points(data, region), moved])
+        qi, pj, sqd = NeighborGrid(b, region).pairs_against(a, radius)
+        assert sorted(zip(qi.tolist(), pj.tolist())) == brute_force_pairs(region, a, b, radius)
+        assert np.array_equal(sqd, region.sqdist(a[qi], b[pj]))
+        graph = build_unigraph(PointPattern(region, a, 1.0, 0), radius)
+        got = sorted(zip(graph.edges_u.tolist(), graph.edges_v.tolist()))
+        assert got == brute_force_self_pairs(region, a, radius)
 
 
 class TestBipartite:
@@ -140,14 +153,6 @@ class TestBipartite:
         graph = build_bipartite(X, Y, 0.17)
         got = sorted(zip(graph.edges_left.tolist(), graph.edges_right.tolist()))
         assert got == brute_force_pairs(unit_square, X.points, Y.points, 0.17)
-
-    def test_adjacency_symmetric(self, unit_square):
-        rng = np.random.default_rng(6)
-        X, Y = random_pattern(rng, 30), random_pattern(rng, 30)
-        graph = build_bipartite(X, Y, 0.25)
-        for i, nbrs in enumerate(graph.adjacency_left):
-            for j in nbrs:
-                assert i in graph.adjacency_right[j]
 
     def test_mismatched_regions_rejected(self, unit_square):
         X = random_pattern(np.random.default_rng(7), 5)
@@ -323,7 +328,10 @@ class TestCrossing:
             X = PointPattern(region, rng.random((n, 2)) * 8.0, float(n), 0)
             graph = build_unigraph(X, 1.0)
             got = crossing_exists(graph)
-            adj = [a.tolist() for a in graph.adjacency]
+            adj = [[] for _ in range(n)]
+            for u, v in zip(graph.edges_u.tolist(), graph.edges_v.tolist()):
+                adj[u].append(v)
+                adj[v].append(u)
             seen = set()
             stack = [i for i in range(n) if X.points[i, 0] <= 1.0]
             seen.update(stack)

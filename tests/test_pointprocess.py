@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from abperc import CoupledSampler, PointPattern, Region, sample_poisson
+from abperc import CoupledSampler, PointPattern, Region, ResourceLimitError, sample_poisson
+from abperc.pointprocess import MAX_EXPECTED_POINTS
 
 
 class TestRegion:
@@ -36,6 +37,11 @@ class TestSamplePoisson:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
             sample_poisson(Region("box", 1.0, 2), -1.0, 5)
+
+    def test_over_budget_intensity_rejected(self):
+        # without the guard, 1e13 points would fail to allocate, not raise this
+        with pytest.raises(ResourceLimitError, match="budget"):
+            sample_poisson(Region("box", 1.0, 2), 1e13, 5)
 
     def test_deterministic_for_fixed_seed(self):
         region = Region("box", 1.0, 2)
@@ -137,6 +143,17 @@ class TestCoupledSampler:
     def test_negative_intensity_rejected(self, unit_square):
         with pytest.raises(ValueError):
             CoupledSampler(unit_square, 0).prefix(-1.0)
+
+    def test_over_budget_intensity_rejected_before_sampling(self, unit_square, monkeypatch):
+        def grow(self):
+            raise AssertionError("sampling went past the budget check")
+
+        sampler = CoupledSampler(unit_square, 0)
+        monkeypatch.setattr(CoupledSampler, "_grow_times", grow)
+        with pytest.raises(ResourceLimitError, match="budget"):
+            sampler.count_at(2.0 * MAX_EXPECTED_POINTS)
+        with pytest.raises(ResourceLimitError, match="budget"):
+            sampler.prefix(2.0 * MAX_EXPECTED_POINTS)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_intensity_rejected(self, unit_square, bad):
