@@ -155,6 +155,8 @@ def run(config: ExperimentConfig) -> int:
     handler = _HANDLERS.get(config.subcommand)
     if handler is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
+    if config.jobs < 1:
+        raise ValueError("jobs must be at least 1")
     handler(config)
     return 0
 

@@ -2,7 +2,9 @@
 
 ``rho_threshold`` returns the exact minimum radius making the shared-neighbor
 graph on the A points connected; the normalized statistic n*pi*rho^2/log n is
-the quantity whose large-n limit is max(1/tau, 1/4) in two dimensions.
+the quantity whose large-n limit is max(1/tau, 1/4) in two dimensions. No
+radius below the minimum-degree one (every A point has a shared neighbor)
+connects, and w.h.p. it does (Penrose, Ann. Appl. Probab. 7:340, 1997).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomgraph import bipartite_edges, radius_for_sqdist
+from .geomgraph import BipartiteGraph, bipartite_edges, components, radius_for_sqdist
 from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
 
@@ -34,12 +36,12 @@ class ThresholdSample:
 def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = None) -> float:
     """Exact minimum r such that the shared-neighbor graph on X is connected.
 
-    Kruskal-style sweep: A-B pairs are inserted in order of increasing
-    distance into a union-find over X and Y until every X vertex shares one
-    root. Pair generation is pruned to an adaptive radius cap that doubles
-    until connectivity is reached, so the full quadratic pair set is never
-    materialized at scale. Returns 0 for at most one X point and +inf when Y
-    is empty but X has two or more points.
+    Only the X-Y pairs within a radius cap, doubled until they connect X, are
+    generated. Their minimum-degree radius rho_deg is exact; if one connected-
+    components pass finds the graph at rho_deg connected, that is the answer,
+    else a union-find joins its components along the longer pairs between
+    them, in order of squared distance. Returns 0 for at most one X point and
+    +inf when Y is empty but X has two or more points.
     """
     if X.region != Y.region:
         raise ValueError("patterns must share a region")
@@ -67,37 +69,57 @@ def _default_cap(region: Region, nx: int, ny: int) -> float:
 
 
 def _sweep_to_connectivity(X, Y, cap):
-    nx, ny = len(X), len(Y)
+    """One cap pass: the exact threshold if the pairs within ``cap`` connect X, else None."""
+    nx = len(X)
     xi, yi, sqd = bipartite_edges(X, Y, cap)
-    if xi.size == 0:
+    deg2 = _min_degree_sqdist(xi, yi, sqd, nx, len(Y))
+    if deg2 == math.inf:
         return None
-    order = np.argsort(sqd)
-    xi, yi, sqd = xi[order], yi[order], sqd[order]
+    # no smaller threshold connects, since every X point needs a shared neighbor
+    rho_deg, within = radius_for_sqdist(deg2), sqd <= deg2
+    labels, count = components(BipartiteGraph(X, Y, rho_deg, xi[within], yi[within]))
+    if np.all(labels[:nx] == labels[0]):
+        return rho_deg
+    # pairs within deg2 are merged already: sweep longer ones between components
+    lx, ly = labels[xi], labels[nx + yi]
+    rest = np.flatnonzero((sqd > deg2) & (lx != ly))
+    rest = rest[np.argsort(sqd[rest])]
+    xcount = np.bincount(labels[:nx], minlength=count)
+    return _join_components(lx[rest], ly[rest], sqd[rest], xcount, nx)
 
-    parent = list(range(nx + ny))
-    size = [1] * (nx + ny)
-    xcount = [1] * nx + [0] * ny
-    for lo in range(0, xi.size, _CHUNK):
-        ax = xi[lo:lo + _CHUNK].tolist()
-        by = (yi[lo:lo + _CHUNK] + nx).tolist()
-        for k in range(len(ax)):
-            a = ax[k]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            b = by[k]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a == b:
-                continue
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-            xcount[a] += xcount[b]
-            if xcount[a] == nx:
-                return radius_for_sqdist(sqd[lo + k])
+
+def _min_degree_sqdist(xi, yi, sqd, nx, ny) -> float:
+    """Smallest squared radius at which every X point has a shared neighbor
+    among the given pairs (+inf if some never does). Pair (x, y) serves x from
+    the larger of its own squared distance and y's smallest to another X point."""
+    m1 = np.full(ny, np.inf)
+    np.minimum.at(m1, yi, sqd)
+    nearest = sqd == m1[yi]
+    # y's smallest to an X point not attaining m1; m1 itself if two attain it
+    m2 = np.where(np.bincount(yi[nearest], minlength=ny) >= 2, m1, np.inf)
+    np.minimum.at(m2, yi[~nearest], sqd[~nearest])
+    link = np.full(nx, np.inf)
+    np.minimum.at(link, xi, np.where(nearest, m2[yi], sqd))
+    return float(link.max())
+
+
+def _join_components(a, b, sqd, xcount, nx):
+    """Union-find over components joined along the pairs (a, b), in order: the
+    radius at which one set first holds all ``nx`` X points, else None."""
+    parent = list(range(xcount.size))
+    xcount = xcount.tolist()
+    for lo in range(0, a.size, _CHUNK):
+        ends = zip(a[lo:lo + _CHUNK].tolist(), b[lo:lo + _CHUNK].tolist())
+        for k, (u, v) in enumerate(ends, lo):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+                xcount[u] += xcount[v]
+                if xcount[u] == nx:
+                    return radius_for_sqdist(sqd[k])
     return None
 
 
@@ -136,6 +158,8 @@ def lln_sweep(n_values, tau_values, trials: int, seed: int, jobs: int = 1):
     tau_values = [float(t) for t in tau_values]
     if any(n < 2 for n in n_values):
         raise ValueError("all n values must be at least 2")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     tasks = [(seed, ti, tau, trial, n_values)
              for ti, tau in enumerate(tau_values) for trial in range(trials)]
     results = parallel_starmap(threshold_trial, tasks, jobs)
@@ -164,33 +188,22 @@ def summarize_thresholds(samples) -> list[dict]:
 def g1_min_degree_is_zero(X: PointPattern, Y: PointPattern, r: float) -> bool:
     """Whether the shared-neighbor graph on X has an isolated vertex.
 
-    A vertex is isolated exactly when it has no Y neighbor within r or every
-    such Y neighbor has no other X neighbor, so no shared-neighbor edge
-    materializes. Evaluated from bipartite degrees without building the graph.
+    That is, some X point has no shared neighbor among the pairs within r:
+    the minimum-degree radius of those pairs is infinite.
     """
     nx = len(X)
     if nx == 0:
         raise ValueError("minimum degree undefined for an empty vertex set")
-    if nx == 1:
-        return True
-    if len(Y) == 0:
-        return True
-    xi, yi, _ = bipartite_edges(X, Y, r)
-    ydeg = np.bincount(yi, minlength=len(Y))
-    linked = np.zeros(nx, dtype=bool)
-    shared = ydeg[yi] >= 2
-    linked[xi[shared]] = True
-    return bool(np.any(~linked))
+    return _min_degree_sqdist(*bipartite_edges(X, Y, r), nx, len(Y)) == math.inf
 
 
 def min_degree_trial(master_seed: int, alpha_index: int, trial: int, n: float,
-                     tau: float, alpha: float) -> bool:
+                     tau: float, r_n: float) -> bool:
     region = Region("box", 1.0, 2)
     sampler_a = CoupledSampler(region, master_seed, "A", path=(alpha_index, trial))
     sampler_b = CoupledSampler(region, master_seed, "B", path=(alpha_index, trial))
     X = sampler_a.prefix(n)
     Y = sampler_b.prefix(tau * n)
-    r_n = radius_for_alpha(n, alpha)
     if len(X) == 0:
         return False
     return g1_min_degree_is_zero(X, Y, r_n)
@@ -198,8 +211,8 @@ def min_degree_trial(master_seed: int, alpha_index: int, trial: int, n: float,
 
 def radius_for_alpha(n: float, alpha: float) -> float:
     """Radius r_n solving n*pi*r_n^2/log(n) = alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (0 < alpha < math.inf):
+        raise ValueError("alpha must be positive and finite")
     if n < 2:
         raise ValueError("n must be at least 2")
     return math.sqrt(alpha * math.log(n) / (n * math.pi))
@@ -211,9 +224,12 @@ def min_degree_diagnostic(n: float, tau: float, alpha: float, trials: int, seed:
 
     Returns (fraction, indicators); trials == 0 yields (nan, []).
     """
+    r_n = radius_for_alpha(n, alpha)
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     if trials == 0:
         return math.nan, []
-    tasks = [(seed, alpha_index, trial, float(n), float(tau), float(alpha))
+    tasks = [(seed, alpha_index, trial, float(n), float(tau), r_n)
              for trial in range(trials)]
     indicators = parallel_starmap(min_degree_trial, tasks, jobs)
     return float(np.mean(indicators)), [bool(b) for b in indicators]

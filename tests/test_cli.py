@@ -85,6 +85,38 @@ class TestArgumentHandling:
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0.5,nan"])
+    def test_non_finite_alpha_exits_1(self, tmp_path, capsys, alpha):
+        code = run_cli(["mindeg", "--n", "200", "--alpha", alpha, "--trials", "2",
+                        "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("subcommand", ["lln", "mindeg"])
+    def test_negative_trials_exits_1(self, tmp_path, capsys, subcommand):
+        code = run_cli([subcommand, "--n", "200", "--trials", "-3",
+                        "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--intensity", "5"],
+        ["percolate", "--intensities", "0.3", "--L", "8", "--trials", "2"],
+        ["mu-c", "--lambda", "0.05", "--L", "8", "--trials", "2"],
+        ["bound", "--lambda", "1", "--lambda-c", "0.5"],
+        ["lln", "--n", "100", "--trials", "1"],
+        ["mindeg", "--n", "100", "--trials", "1"],
+        ["couple-test", "--window", "8,8", "--p-lambda", "0.6", "--p-nu", "0.3"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, argv, jobs):
+        code = run_cli([*argv, "--jobs", jobs, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no equals sign here\n")

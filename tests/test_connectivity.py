@@ -2,19 +2,53 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abperc import (
     PointPattern,
     Region,
+    connectivity,
     g1_min_degree_is_zero,
     is_connected_g1,
     lln_statistic,
     lln_sweep,
     min_degree_diagnostic,
+    radius_for_sqdist,
     rho_threshold,
 )
 from abperc.connectivity import radius_for_alpha, summarize_thresholds, threshold_trial
+from abperc.geomgraph import bipartite_edges
 from conftest import build_g1, min_degree, random_pattern, rho_oracle
+
+LATTICE = st.integers(0, 7).map(lambda c: c / 8)
+COORD = LATTICE | st.just(math.nextafter(1.0, 0.0)) | st.floats(0.0, 1.0, exclude_max=True)
+POINT = st.tuples(LATTICE, LATTICE) | st.tuples(COORD, COORD)
+
+
+@st.composite
+def threshold_instances(draw):
+    """(X, Y, initial_cap) on the unit box or torus.
+
+    Two X points lie exactly symmetric about one Y point, so they tie at its
+    smallest distance; alone, they are the nx = 2, ny = 1 instance. Otherwise
+    more points follow, on a side/8 lattice (exact-distance ties) or anywhere,
+    with duplicate X and Y points and X points placed on Y points.
+    """
+    region = Region(draw(st.sampled_from(["box", "torus"])), 1.0, 2)
+    c = draw(st.tuples(st.integers(2, 5), st.integers(2, 5)))
+    v = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+    xs = [((c[0] + v[0]) / 8, (c[1] + v[1]) / 8), ((c[0] - v[0]) / 8, (c[1] - v[1]) / 8)]
+    ys = [(c[0] / 8, c[1] / 8)]
+    if draw(st.booleans()):
+        xs += draw(st.lists(POINT, max_size=12))
+        ys += draw(st.lists(POINT, max_size=12))
+        xs += draw(st.lists(st.sampled_from(xs + ys), max_size=3))
+        ys += draw(st.lists(st.sampled_from(ys), max_size=3))
+        xs, ys = draw(st.permutations(xs)), draw(st.permutations(ys))
+    cap = draw(st.none() | st.floats(1e-6, 0.05))
+    X = PointPattern(region, np.array(xs), float(len(xs)), 0)
+    return X, PointPattern(region, np.array(ys), float(len(ys)), 0), cap
 
 
 class TestRhoThreshold:
@@ -96,6 +130,46 @@ class TestRhoThreshold:
         X, Y = random_pattern(rng, 20), random_pattern(rng, 20)
         assert rho_threshold(X, Y, initial_cap=1e-6) == rho_threshold(X, Y)
 
+    # a cap from 1e-6 forces cap doublings before the pairs connect X
+    @given(instance=threshold_instances())
+    @settings(max_examples=300)
+    def test_matches_oracle_on_adversarial_patterns(self, instance):
+        X, Y, cap = instance
+        want = rho_oracle(X, Y)
+        assert rho_threshold(X, Y, initial_cap=cap) == want
+        # the min-degree radius is exact: the minimal float with no isolated X point
+        xi, yi, sqd = bipartite_edges(X, Y, X.region.max_distance)
+        rho_deg = radius_for_sqdist(connectivity._min_degree_sqdist(xi, yi, sqd, len(X), len(Y)))
+        assert rho_deg <= want
+        if rho_deg > 0:
+            assert not g1_min_degree_is_zero(X, Y, rho_deg)
+            assert min_degree(build_g1(X, Y, rho_deg)) > 0
+            below = math.nextafter(rho_deg, 0.0)
+            assert below == 0 or g1_min_degree_is_zero(X, Y, below)
+
+    def test_fallback_joins_components_beyond_min_degree_radius(self, unit_square,
+                                                                monkeypatch):
+        # two clusters, each with its own Y points, joined only by a far Y bridge
+        rng = np.random.default_rng(12)
+        corners = ([0.1, 0.1], [0.8, 0.8])
+        xs = np.vstack([np.add(c, 0.1 * rng.random((6, 2))) for c in corners])
+        ys = np.vstack([np.add(c, 0.1 * rng.random((6, 2))) for c in corners] + [[0.5, 0.5]])
+        X, Y = PointPattern(unit_square, xs, 12.0, 0), PointPattern(unit_square, ys, 13.0, 0)
+        join, swept = connectivity._join_components, []
+
+        def spy(a, b, sqd, xcount, nx):
+            swept.append(a != b)
+            return join(a, b, sqd, xcount, nx)
+
+        monkeypatch.setattr(connectivity, "_join_components", spy)
+        rho = rho_threshold(X, Y)
+        assert rho == rho_oracle(X, Y)
+        xi, yi, sqd = bipartite_edges(X, Y, rho)
+        rho_deg = radius_for_sqdist(connectivity._min_degree_sqdist(xi, yi, sqd, 12, 13))
+        assert rho_deg < rho and not is_connected_g1(X, Y, rho_deg)
+        # only pairs between two components at rho_deg are swept
+        assert swept and all(cross.all() for cross in swept)
+
     def test_mismatched_regions_rejected(self, unit_square):
         X = random_pattern(np.random.default_rng(8), 5)
         other = Region("box", 2.0, 2)
@@ -164,12 +238,27 @@ class TestLlnSweep:
         with pytest.raises(ValueError):
             lln_sweep([1.0], [1.0], 2, seed=0)
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            lln_sweep([100.0], [1.0], -3, seed=0)
+
 
 class TestMinDegreeDiagnostic:
     def test_radius_solves_statistic(self):
         n, alpha = 1e4, 0.7
         r = radius_for_alpha(n, alpha)
         assert n * math.pi * r * r / math.log(n) == pytest.approx(alpha, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_rejects_non_positive_or_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            radius_for_alpha(1e4, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            min_degree_diagnostic(100.0, 1.0, alpha, 0, seed=0)
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            min_degree_diagnostic(100.0, 1.0, 0.5, -3, seed=0)
 
     def test_fast_indicator_matches_graph_min_degree(self, unit_square):
         rng = np.random.default_rng(11)

@@ -162,6 +162,16 @@ class TestBipartite:
             build_bipartite(X, Y, 0.2)
 
 
+    @pytest.mark.parametrize("r", [0.0, -0.1, math.nan, math.inf])
+    def test_non_positive_or_non_finite_radius_rejected(self, unit_square, r):
+        # an infinite radius would ask the tree for every pair at any size
+        X = random_pattern(np.random.default_rng(9), 5)
+        with pytest.raises(ValueError, match="radius"):
+            build_bipartite(X, X, r)
+        with pytest.raises(ValueError, match="threshold"):
+            build_unigraph(X, r)
+
+
 class TestUnigraph:
     def test_two_points_at_threshold(self, unit_square):
         X = PointPattern(unit_square, np.array([[0.1, 0.1], [0.6, 0.1]]), 2.0, 0)
