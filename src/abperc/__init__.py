@@ -29,7 +29,6 @@ from .connectivity import (
 )
 from .errors import EstimationError, ResourceLimitError
 from .geomgraph import (
-    BipartiteGraph,
     Graph,
     NeighborGrid,
     build_bipartite,

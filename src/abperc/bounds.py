@@ -48,6 +48,8 @@ class BoundInputs:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
+        if not all(math.isfinite(v) for v in (self.r, self.lam, self.lambda_c)):
+            raise ValueError("r, lambda and lambda_c must be finite")
         if self.r <= 0 or self.lambda_c <= 0:
             raise ValueError("r and lambda_c must be positive")
         if self.lam <= self.lambda_c:
@@ -63,6 +65,8 @@ class BoundInputs:
 
 
 def _check_pipeline_args(r, delta, lambda_c, alpha, d):
+    if not all(math.isfinite(v) for v in (r, delta, lambda_c)):
+        raise ValueError("r, delta and lambda_c must be finite")
     if r <= 0 or lambda_c <= 0:
         raise ValueError("r and lambda_c must be positive")
     if delta <= 0:
@@ -112,14 +116,14 @@ def delta_count(t: float, epsilon: float, d: int) -> int:
     Exact enumeration of {u in eps*Z^d : 0 < ||u|| <= t}; raises when the
     per-axis extent ceil(t/epsilon) exceeds MAX_CELLS_PER_AXIS.
     """
-    if t <= 0 or epsilon <= 0:
-        raise ValueError("t and epsilon must be positive")
+    if not (0 < t < math.inf and 0 < epsilon < math.inf):
+        raise ValueError("t and epsilon must be positive and finite")
     if d < 1:
         raise ValueError("dimension must be positive")
     rho = t / epsilon
-    if math.ceil(rho) > MAX_CELLS_PER_AXIS:
+    if rho > MAX_CELLS_PER_AXIS:
         raise ResourceLimitError(
-            f"lattice enumeration spans {math.ceil(rho)} cells per axis "
+            f"lattice enumeration spans {rho:.6g} cells per axis "
             f"(guard {MAX_CELLS_PER_AXIS})")
     return _ball_lattice_count(rho * rho, d) - 1
 
@@ -128,11 +132,7 @@ def _ball_lattice_count(r2: float, d: int) -> int:
     """|{k in Z^d : ||k||^2 <= r2}| including the origin."""
     if r2 < 0:
         return 0
-    m = int(math.floor(math.sqrt(r2)))
-    while (m + 1) * (m + 1) <= r2:
-        m += 1
-    while m > 0 and m * m > r2:
-        m -= 1
+    m = math.isqrt(math.floor(r2))
     if d == 1:
         return 2 * m + 1
     if d == 2:
@@ -189,12 +189,6 @@ def _log_inverse_gap(inputs: BoundInputs, alpha: float, exponent: float,
     if one_minus_pow <= 0.0:
         return math.inf
     return -math.log(one_minus_pow)
-
-
-def ratio_power(inputs: BoundInputs, alpha: float, exponent: float,
-                epsilon: float) -> float:
-    """(p_nu / p_lambda)^exponent for reporting."""
-    return math.exp(exponent * _occupancy_log_ratio(inputs, alpha, epsilon))
 
 
 def mu_bound_exact_delta(inputs: BoundInputs, alpha: float) -> float:
@@ -293,7 +287,7 @@ def mu_bound_optimized(inputs: BoundInputs) -> BoundReport:
         rows.append(BoundRow(
             alpha=alpha, s=s, t=t, epsilon=eps, delta_sites=sites,
             p_nu=p_occupy(nu, eps, d), p_lambda=p_occupy(inputs.lam, eps, d),
-            ratio_pow=ratio_power(inputs, alpha, (eps / r) ** d / pi_d, eps),
+            ratio_pow=math.exp((eps / r) ** d / pi_d * _occupancy_log_ratio(inputs, alpha, eps)),
             mu_relaxed=relaxed, mu_exact_delta=exact))
     best = min(rows, key=lambda row: row.mu_relaxed)
     exact_values = [row.mu_exact_delta for row in rows if row.mu_exact_delta is not None]

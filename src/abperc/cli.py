@@ -269,12 +269,9 @@ def _run_couple_test(config: ExperimentConfig):
         header, field_rows = latticecoupling.field_csv_rows(fld, k)
         rows.extend(field_rows)
         implication_ok &= latticecoupling.implication_holds(fld)
-        pooled["T"][0] += int(fld.T.sum())
-        pooled["T"][1] += fld.T.size
-        pooled["V"][0] += int(fld.V.sum())
-        pooled["V"][1] += fld.V.size
-        pooled["W"][0] += int(fld.W[fld.interior].sum())
-        pooled["W"][1] += int(fld.interior.sum())
+        for key, bits in (("T", fld.T), ("V", fld.V), ("W", fld.W[fld.interior])):
+            pooled[key][0] += int(bits.sum())
+            pooled[key][1] += bits.size
     Delta = bounds.delta_count(p["t"], p["epsilon"], 2)
     expected = {"T": p["p_lambda"], "V": p["p_nu"],
                 "W": bounds.q_coupling(p["p_nu"], p["p_lambda"], Delta)}

@@ -5,6 +5,11 @@ graph on the A points connected; the normalized statistic n*pi*rho^2/log n is
 the quantity whose large-n limit is max(1/tau, 1/4) in two dimensions. No
 radius below the minimum-degree one (every A point has a shared neighbor)
 connects, and w.h.p. it does (Penrose, Ann. Appl. Probab. 7:340, 1997).
+
+The threshold is read off the bipartite A-B graph, whose paths x-y-x' are
+the shared-neighbor edges: one connected-components pass at the minimum-
+degree radius and, when that leaves A disconnected, one bottleneck over its
+components.
 """
 
 from __future__ import annotations
@@ -14,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomgraph import BipartiteGraph, bipartite_edges, components, radius_for_sqdist
+from .geomgraph import Graph, bipartite_edges, bottleneck, components, radius_for_sqdist
 from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
-
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,10 @@ def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = 
     Only the X-Y pairs within a radius cap, doubled until they connect X, are
     generated. Their minimum-degree radius rho_deg is exact; if one connected-
     components pass finds the graph at rho_deg connected, that is the answer,
-    else a union-find joins its components along the longer pairs between
-    them, in order of squared distance. Returns 0 for at most one X point and
-    +inf when Y is empty but X has two or more points.
+    else it is the :func:`~abperc.geomgraph.bottleneck` that joins the
+    components holding X points along the longer pairs between components.
+    Returns 0 for at most one X point and +inf when Y is empty but X has two
+    or more points.
     """
     if X.region != Y.region:
         raise ValueError("patterns must share a region")
@@ -77,15 +81,19 @@ def _sweep_to_connectivity(X, Y, cap):
         return None
     # no smaller threshold connects, since every X point needs a shared neighbor
     rho_deg, within = radius_for_sqdist(deg2), sqd <= deg2
-    labels, count = components(BipartiteGraph(X, Y, rho_deg, xi[within], yi[within]))
+    points = np.concatenate([X.points, Y.points])
+    labels, count = components(Graph(X.region, points, rho_deg, xi[within], yi[within] + nx))
     if np.all(labels[:nx] == labels[0]):
         return rho_deg
-    # pairs within deg2 are merged already: sweep longer ones between components
+    # pairs within deg2 are merged already: join the components that hold X
+    # points along the longer pairs between components, the lightest per two
     lx, ly = labels[xi], labels[nx + yi]
     rest = np.flatnonzero((sqd > deg2) & (lx != ly))
     rest = rest[np.argsort(sqd[rest])]
-    xcount = np.bincount(labels[:nx], minlength=count)
-    return _join_components(lx[rest], ly[rest], sqd[rest], xcount, nx)
+    a, b = lx[rest].astype(np.int64), ly[rest].astype(np.int64)
+    _, first = np.unique(a * count + b, return_index=True)
+    w = bottleneck(count, a[first], b[first], sqd[rest[first]], np.unique(labels[:nx]))
+    return None if w is None else radius_for_sqdist(w)
 
 
 def _min_degree_sqdist(xi, yi, sqd, nx, ny) -> float:
@@ -101,26 +109,6 @@ def _min_degree_sqdist(xi, yi, sqd, nx, ny) -> float:
     link = np.full(nx, np.inf)
     np.minimum.at(link, xi, np.where(nearest, m2[yi], sqd))
     return float(link.max())
-
-
-def _join_components(a, b, sqd, xcount, nx):
-    """Union-find over components joined along the pairs (a, b), in order: the
-    radius at which one set first holds all ``nx`` X points, else None."""
-    parent = list(range(xcount.size))
-    xcount = xcount.tolist()
-    for lo in range(0, a.size, _CHUNK):
-        ends = zip(a[lo:lo + _CHUNK].tolist(), b[lo:lo + _CHUNK].tolist())
-        for k, (u, v) in enumerate(ends, lo):
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[v] = u
-                xcount[u] += xcount[v]
-                if xcount[u] == nx:
-                    return radius_for_sqdist(sqd[k])
-    return None
 
 
 def lln_statistic(n: float, rho: float) -> float:

@@ -1,10 +1,13 @@
-"""One-type and bipartite geometric graphs on point patterns.
+"""One-type and bipartite geometric graphs on point patterns, in one edge-list
+type; a bipartite graph numbers its A points before its B points.
 
 Adjacency uses the closed-ball rule: an edge is present iff the (region
 metric) distance is <= the connection radius, compared on squared distances
 with no epsilon. Every graph is one fixed-radius pair query between two k-d
 trees (``scipy.spatial.cKDTree``, periodic on a torus); the tree's candidates
-are re-checked with that exact predicate.
+are re-checked with that exact predicate. Every threshold question (the step
+at which a box is crossed, the radius at which the shared-neighbor graph
+connects) is answered by one minimum-spanning-tree kernel, :func:`bottleneck`.
 """
 
 from __future__ import annotations
@@ -85,55 +88,21 @@ def _kdtree(points: np.ndarray, region: Region):
 
 @dataclass
 class Graph:
-    """Geometric graph on one point pattern (vertex i = pattern point i)."""
+    """Geometric graph as an edge list over ``points`` (vertex i = point i).
 
-    pattern: PointPattern
+    A bipartite graph lists its A points first, so B point j is vertex
+    ``len(A) + j``.
+    """
+
+    region: Region
+    points: np.ndarray
     radius: float
     edges_u: np.ndarray
     edges_v: np.ndarray
 
     @property
     def n_vertices(self) -> int:
-        return len(self.pattern)
-
-    def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.edges_u, minlength=self.n_vertices)
-        deg += np.bincount(self.edges_v, minlength=self.n_vertices)
-        return deg
-
-    def vertex_coords(self) -> np.ndarray:
-        return self.pattern.points
-
-
-@dataclass
-class BipartiteGraph:
-    """Bipartite geometric graph; vertices are left points then right points."""
-
-    left: PointPattern
-    right: PointPattern
-    radius: float
-    edges_left: np.ndarray
-    edges_right: np.ndarray
-
-    @property
-    def n_left(self) -> int:
-        return len(self.left)
-
-    @property
-    def n_right(self) -> int:
-        return len(self.right)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_left + self.n_right
-
-    def degrees(self) -> np.ndarray:
-        dl = np.bincount(self.edges_left, minlength=self.n_left)
-        dr = np.bincount(self.edges_right, minlength=self.n_right)
-        return np.concatenate([dl, dr])
-
-    def vertex_coords(self) -> np.ndarray:
-        return np.concatenate([self.left.points, self.right.points])
+        return len(self.points)
 
 
 def bipartite_edges(X: PointPattern, Y: PointPattern, r: float):
@@ -145,44 +114,26 @@ def bipartite_edges(X: PointPattern, Y: PointPattern, r: float):
     return NeighborGrid(Y.points, X.region).pairs_against(X.points, r)
 
 
-def unigraph_edges(X: PointPattern, s: float):
-    """Edge arrays (i, j, sqdist), i < j, of the one-type graph at threshold s."""
-    if not (0 < s < math.inf):
-        raise ValueError("threshold must be positive and finite")
-    qi, pj, sqd = NeighborGrid(X.points, X.region).pairs_against(X.points, s)
-    keep = qi < pj
-    return qi[keep], pj[keep], sqd[keep]
-
-
-def build_bipartite(X: PointPattern, Y: PointPattern, r: float) -> BipartiteGraph:
+def build_bipartite(X: PointPattern, Y: PointPattern, r: float) -> Graph:
     """Bipartite graph with an edge for every cross pair at distance <= r."""
     xi, yi, _ = bipartite_edges(X, Y, r)
-    return BipartiteGraph(X, Y, float(r), xi, yi)
+    return Graph(X.region, np.concatenate([X.points, Y.points]), float(r), xi, yi + len(X))
 
 
 def build_unigraph(X: PointPattern, s: float) -> Graph:
-    """One-type graph with an edge for every pair at distance <= s."""
-    ui, vi, _ = unigraph_edges(X, s)
-    return Graph(X, float(s), ui, vi)
+    """One-type graph with an edge for every pair i < j at distance <= s."""
+    if not (0 < s < math.inf):
+        raise ValueError("threshold must be positive and finite")
+    qi, pj, _ = NeighborGrid(X.points, X.region).pairs_against(X.points, s)
+    keep = qi < pj
+    return Graph(X.region, X.points, float(s), qi[keep], pj[keep])
 
 
-def _edge_arrays(graph):
-    """Vertex count and edge end arrays; bipartite right vertices follow the left ones."""
-    if isinstance(graph, BipartiteGraph):
-        return graph.n_vertices, graph.edges_left, graph.edges_right + graph.n_left
-    return graph.n_vertices, graph.edges_u, graph.edges_v
-
-
-def components(graph):
-    """Connected-component labels and component count.
-
-    For a bipartite graph, labels cover left vertices then right vertices.
-    """
-    nv, src, dst = _edge_arrays(graph)
-    if nv == 0:
-        return np.empty(0, dtype=np.int32), 0
-    data = np.ones(len(src), dtype=np.int8)
-    adj = coo_matrix((data, (src, dst)), shape=(nv, nv))
+def components(graph: Graph):
+    """Connected-component labels, one per vertex, and the component count."""
+    nv = graph.n_vertices
+    data = np.ones(len(graph.edges_u), dtype=np.int8)
+    adj = coo_matrix((data, (graph.edges_u, graph.edges_v)), shape=(nv, nv))
     count, labels = connected_components(adj, directed=False)
     return labels, int(count)
 
@@ -204,25 +155,25 @@ def is_connected_g1(X: PointPattern, Y: PointPattern, r: float) -> bool:
     return bool(np.all(left == left[0]))
 
 
-def _margin_vertices(graph, axis: int, margin: float | None):
-    """Indices of the vertices within ``margin`` of the low and of the high face."""
-    region = graph.left.region if isinstance(graph, BipartiteGraph) else graph.pattern.region
-    if region.kind != "box":
+def _margin_vertices(graph: Graph, margin: float | None):
+    """Indices of the vertices within ``margin`` of the low and of the high face
+    of the first axis."""
+    if graph.region.kind != "box":
         raise ValueError("crossing is undefined on a torus")
     if margin is None:
         margin = graph.radius
-    coords = graph.vertex_coords()[:, axis]
-    return np.flatnonzero(coords <= margin), np.flatnonzero(coords >= region.side - margin)
+    coords = graph.points[:, 0]
+    return np.flatnonzero(coords <= margin), np.flatnonzero(coords >= graph.region.side - margin)
 
 
-def crossing_exists(graph, axis: int = 0, margin: float | None = None) -> bool:
-    """Whether some component spans the box along ``axis``.
+def crossing_exists(graph: Graph, margin: float | None = None) -> bool:
+    """Whether some component spans the box along the first axis.
 
     A component spans when it holds a vertex with coordinate <= margin and
     one with coordinate >= side - margin; the margin defaults to the graph's
     connection radius. Undefined (and rejected) on a torus.
     """
-    low, high = _margin_vertices(graph, axis, margin)
+    low, high = _margin_vertices(graph, margin)
     if low.size == 0 or high.size == 0:
         return False
     labels, _ = components(graph)
@@ -245,35 +196,56 @@ def gap_blocks_crossing(coords, side: float, s: float) -> bool:
     return bool(np.any((gaps * gaps > s * s) & (xs[1:] > s) & (xs[:-1] < side - s)))
 
 
-def crossing_step(graph, steps) -> int | None:
+def bottleneck(n: int, u, v, weights, terminals):
+    """Smallest weight w at which the edges (u, v) of weight <= w join every
+    terminal into one component; None when the whole graph does not.
+
+    The graph has vertices 0..n-1. Every weight must be > 0 (scipy's spanning
+    tree drops zero weights) and each (u, v) must be listed once (building
+    the sparse matrix sums repeated entries). w is the heaviest edge on the
+    minimum spanning tree paths from each terminal to the first; with one
+    distinct terminal it is 0. ``terminals`` is nonempty.
+    """
+    terminals = np.asarray(terminals, dtype=np.int64).tolist()
+    tree = minimum_spanning_tree(coo_matrix((weights, (u, v)), shape=(n, n)))
+    root = terminals[0]
+    _, pred = breadth_first_order(tree, root, directed=False, return_predecessors=True)
+    # up[x] is the weight of the tree edge from x to its parent pred[x]
+    rows, cols = np.repeat(np.arange(n), np.diff(tree.indptr)), tree.indices
+    up = np.zeros(n, dtype=tree.dtype)
+    up[np.where(pred[rows] == cols, rows, cols)] = tree.data
+    # the paths to the root meet where they first reach a vertex already walked
+    seen, path = {root}, []
+    for x in terminals:
+        if pred[x] < 0 and x != root:
+            return None
+        while x not in seen:
+            seen.add(x)
+            path.append(x)
+            x = int(pred[x])
+    return up[path].max() if path else up.dtype.type(0)
+
+
+def crossing_step(graph: Graph, steps) -> int | None:
     """Smallest step k at which the vertices arrived by then span the box.
 
-    Vertex v arrives at step ``steps[v]``, an integer >= 1 (scipy's spanning
-    tree drops zero weights). Spanning at step k is the event of
-    :func:`crossing_exists` (first axis, default margin) on the subgraph of
-    the vertices with ``steps <= k``, so it is monotone in k. An edge, and
-    the link of a margin vertex to a super source (low face) or super sink
-    (high face), is present from the later arrival of its ends; k is the
-    bottleneck of the minimax source-sink path, read off a minimum spanning
-    tree. None when the whole graph does not span.
+    Vertex v arrives at step ``steps[v]``, an integer >= 1. Spanning at step
+    k is the event of :func:`crossing_exists` (default margin) on the
+    subgraph of the vertices with ``steps <= k``, so it is monotone in k. An
+    edge, and the link of a margin vertex to a super source (low face) or
+    super sink (high face), is present from the later arrival of its ends;
+    k is the :func:`bottleneck` between source and sink. None when the whole
+    graph does not span.
     """
-    low, high = _margin_vertices(graph, 0, None)
+    low, high = _margin_vertices(graph, None)
     if low.size == 0 or high.size == 0:
         return None
     steps = np.asarray(steps, dtype=np.int64)
-    nv, src, dst = _edge_arrays(graph)
+    nv, u, v = graph.n_vertices, graph.edges_u, graph.edges_v
     source, sink = nv, nv + 1
-    rows = np.concatenate([src, np.full(low.size, source), np.full(high.size, sink)])
-    cols = np.concatenate([dst, low, high])
-    weights = np.concatenate([np.maximum(steps[src], steps[dst]), steps[low], steps[high]])
-    tree = minimum_spanning_tree(coo_matrix((weights, (rows, cols)), shape=(nv + 2, nv + 2)))
-    _, pred = breadth_first_order(tree, source, directed=False, return_predecessors=True)
-    if pred[sink] < 0:
-        return None
-    # the path's bottleneck is the latest arrival among its vertices, since
-    # every tree edge weighs the later arrival of its ends
-    latest, v = 0, int(pred[sink])
-    while v != source:
-        latest = max(latest, int(steps[v]))
-        v = int(pred[v])
-    return latest
+    k = bottleneck(nv + 2,
+                   np.concatenate([u, np.full(low.size, source), np.full(high.size, sink)]),
+                   np.concatenate([v, low, high]),
+                   np.concatenate([np.maximum(steps[u], steps[v]), steps[low], steps[high]]),
+                   [source, sink])
+    return None if k is None else int(k)

@@ -46,12 +46,10 @@ def discretize(pattern: PointPattern, epsilon: float) -> DiscretizedSites:
 
 def ball_offsets(t: float, epsilon: float) -> np.ndarray:
     """Nonzero integer offsets o with ||o * epsilon|| <= t, for d = 2."""
-    if t <= 0 or epsilon <= 0:
-        raise ValueError("t and epsilon must be positive")
+    if not (0 < t < math.inf and 0 < epsilon < math.inf):
+        raise ValueError("t and epsilon must be positive and finite")
     rho2 = (t / epsilon) ** 2
-    m = int(math.floor(math.sqrt(rho2)))
-    while (m + 1) * (m + 1) <= rho2:
-        m += 1
+    m = math.isqrt(math.floor(rho2))
     span = np.arange(-m, m + 1)
     ox, oy = np.meshgrid(span, span, indexing="ij")
     mask = (ox * ox + oy * oy <= rho2) & ~((ox == 0) & (oy == 0))
@@ -68,9 +66,7 @@ def site_related(u, v, t: float, epsilon: float) -> bool:
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     rho2 = (t / epsilon) ** 2
-    m = int(math.floor(math.sqrt(rho2)))
-    while (m + 1) * (m + 1) <= rho2:
-        m += 1
+    m = math.isqrt(math.floor(rho2))
     span = np.arange(-m, m + 1)
     grids = np.meshgrid(*([span] * u.size), indexing="ij")
     w = np.stack([g.ravel() for g in grids], axis=1) + u
@@ -111,24 +107,25 @@ def sample_coupled_fields(window, epsilon: float, t: float, p_lambda: float,
 
     T ~ Bernoulli(p_lambda) per site and U ~ Bernoulli((p_nu/p_lambda)^(1/Delta))
     per directed in-range pair, all independent; V and W are their defining
-    products. Requires 0 < p_nu <= p_lambda <= 1 and t >= epsilon.
+    products. Requires finite 0 < epsilon <= t and 0 < p_nu <= p_lambda <= 1.
     """
     window = tuple(int(w) for w in window)
     if len(window) != 2 or any(w < 1 for w in window):
         raise ValueError("window must give positive extents for two axes")
     if not 0 < p_nu <= p_lambda <= 1:
         raise ValueError("need 0 < p_nu <= p_lambda <= 1")
-    offsets = ball_offsets(t, epsilon)
-    if offsets.shape[0] == 0:
-        raise ValueError("t must be at least epsilon so the site ball is nonempty")
+    # counted, and held to the budgets, before the offsets are enumerated
     Delta = delta_count(t, epsilon, 2)
-    assert Delta == offsets.shape[0]
+    if Delta == 0:
+        raise ValueError("t must be at least epsilon so the site ball is nonempty")
     n_sites = window[0] * window[1]
     if Delta * n_sites > MAX_FIELD_BITS:
         raise ResourceLimitError("field exceeds the U-bit budget")
     margin = int(math.ceil(t / epsilon))
     if window[0] <= 2 * margin or window[1] <= 2 * margin:
         raise ValueError("window too small: no interior sites beyond the ball radius")
+    offsets = ball_offsets(t, epsilon)
+    assert Delta == offsets.shape[0]
 
     rng = derived_rng(seed, *path)
     u_param = (p_nu / p_lambda) ** (1.0 / Delta)

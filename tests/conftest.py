@@ -80,16 +80,41 @@ def build_g1(X, Y, r):
     bip = build_bipartite(X, Y, r)
     edges = set()
     for y in range(len(Y)):
-        edges.update(combinations(sorted(bip.edges_left[bip.edges_right == y].tolist()), 2))
+        edges.update(combinations(sorted(bip.edges_u[bip.edges_v == len(X) + y].tolist()), 2))
     pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    return Graph(X, float(r), pairs[:, 0], pairs[:, 1])
+    return Graph(X.region, X.points, float(r), pairs[:, 0], pairs[:, 1])
 
 
 def min_degree(graph):
     """Minimum vertex degree. Raises on an empty vertex set."""
-    if graph.n_vertices == 0:
+    nv = graph.n_vertices
+    if nv == 0:
         raise ValueError("minimum degree undefined for an empty vertex set")
-    return int(graph.degrees().min())
+    return int((np.bincount(graph.edges_u, minlength=nv)
+                + np.bincount(graph.edges_v, minlength=nv)).min())
+
+
+def bottleneck_oracle(n, u, v, weights, terminals):
+    """Union-find over the edges in order of weight: the weight of the edge
+    after which every terminal shares a root; 0 when they already do (fewer
+    than two distinct terminals), None when they never do."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def joined():
+        return len({find(t) for t in terminals}) <= 1
+
+    if joined():
+        return 0
+    for w, a, b in sorted(zip(weights, u, v)):
+        parent[find(a)] = find(b)
+        if joined():
+            return w
+    return None
 
 
 def rho_oracle(X, Y, connectivity_check=None):

@@ -93,6 +93,24 @@ class TestArgumentHandling:
         assert "alpha" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--lambda", "nan"],
+                                       ["--lambda-c", "nan"], ["--r", "nan"], ["--r", "inf"]])
+    def test_bound_non_finite_parameter_exits_1(self, tmp_path, capsys, flags):
+        code = run_cli(["bound", "--lambda", "1", "--lambda-c", "0.36", *flags,
+                        "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--t", "inf"], ["--t", "nan"], ["--epsilon", "nan"],
+                                       ["--epsilon", "inf"], ["--t", "-1"]])
+    def test_couple_test_bad_range_exits_1(self, tmp_path, capsys, flags):
+        code = run_cli(["couple-test", "--window", "8,8", "--p-lambda", "0.6", "--p-nu", "0.3",
+                        *flags, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "t and epsilon must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("subcommand", ["lln", "mindeg"])
     def test_negative_trials_exits_1(self, tmp_path, capsys, subcommand):
         code = run_cli([subcommand, "--n", "200", "--trials", "-3",

@@ -155,20 +155,23 @@ class TestRhoThreshold:
         xs = np.vstack([np.add(c, 0.1 * rng.random((6, 2))) for c in corners])
         ys = np.vstack([np.add(c, 0.1 * rng.random((6, 2))) for c in corners] + [[0.5, 0.5]])
         X, Y = PointPattern(unit_square, xs, 12.0, 0), PointPattern(unit_square, ys, 13.0, 0)
-        join, swept = connectivity._join_components, []
+        kernel, swept = connectivity.bottleneck, []
 
-        def spy(a, b, sqd, xcount, nx):
-            swept.append(a != b)
-            return join(a, b, sqd, xcount, nx)
+        def spy(n, u, v, weights, terminals):
+            swept.append((u, v))
+            return kernel(n, u, v, weights, terminals)
 
-        monkeypatch.setattr(connectivity, "_join_components", spy)
+        monkeypatch.setattr(connectivity, "bottleneck", spy)
         rho = rho_threshold(X, Y)
         assert rho == rho_oracle(X, Y)
         xi, yi, sqd = bipartite_edges(X, Y, rho)
         rho_deg = radius_for_sqdist(connectivity._min_degree_sqdist(xi, yi, sqd, 12, 13))
         assert rho_deg < rho and not is_connected_g1(X, Y, rho_deg)
-        # only pairs between two components at rho_deg are swept
-        assert swept and all(cross.all() for cross in swept)
+        # only pairs between two components at rho_deg are passed, each pair once
+        assert swept
+        for u, v in swept:
+            assert np.all(u != v)
+            assert len(set(zip(u.tolist(), v.tolist()))) == len(u)
 
     def test_mismatched_regions_rejected(self, unit_square):
         X = random_pattern(np.random.default_rng(8), 5)

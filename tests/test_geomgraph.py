@@ -17,10 +17,11 @@ from abperc import (
     is_connected_g1,
     radius_for_sqdist,
 )
-from abperc.geomgraph import gap_blocks_crossing
+from abperc.geomgraph import bottleneck, gap_blocks_crossing
 from conftest import (
     bfs_components,
     bipartite_adjacency,
+    bottleneck_oracle,
     brute_force_pairs,
     brute_force_self_pairs,
     build_g1,
@@ -138,20 +139,20 @@ class TestBipartite:
         X = PointPattern(unit_square, np.array([[0.0, 0.0]]), 1.0, 0)
         Y = PointPattern(unit_square, np.array([[0.5, 0.0]]), 1.0, 0)
         graph = build_bipartite(X, Y, 0.5)
-        assert len(graph.edges_left) == 1
+        assert len(graph.edges_u) == 1
 
     def test_empty_side_no_edges(self, unit_square):
         X = random_pattern(np.random.default_rng(4), 10)
         Y = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
         graph = build_bipartite(X, Y, 0.3)
-        assert len(graph.edges_left) == 0
+        assert len(graph.edges_u) == 0
 
     def test_matches_brute_force(self, unit_square):
         rng = np.random.default_rng(5)
         X = random_pattern(rng, 50)
         Y = random_pattern(rng, 50)
         graph = build_bipartite(X, Y, 0.17)
-        got = sorted(zip(graph.edges_left.tolist(), graph.edges_right.tolist()))
+        got = sorted(zip(graph.edges_u.tolist(), (graph.edges_v - len(X)).tolist()))
         assert got == brute_force_pairs(unit_square, X.points, Y.points, 0.17)
 
     def test_mismatched_regions_rejected(self, unit_square):
@@ -308,6 +309,31 @@ class TestMinDegree:
         X = PointPattern(unit_square, np.array([[0.1, 0.1], [0.9, 0.9]]), 2.0, 0)
         Y = PointPattern(unit_square, np.array([[0.12, 0.1]]), 1.0, 0)
         assert min_degree(build_g1(X, Y, 0.05)) == 0
+
+
+class TestBottleneck:
+    # few distinct weights make ties common; few edges on up to 12 vertices
+    # leave some terminals unreachable; each (u, v) is drawn at most once
+    @given(data=st.data(), n=st.integers(1, 12), real=st.booleans())
+    @settings(max_examples=300)
+    def test_matches_sorted_union_find(self, data, n, real):
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=20, unique=True))
+        weight = st.floats(1e-300, 1e300) if real else st.integers(1, 4)
+        weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+        terminals = data.draw(st.lists(vertex, min_size=1, max_size=5))
+        u = np.array([a for a, _ in edges], dtype=np.int64)
+        v = np.array([b for _, b in edges], dtype=np.int64)
+        want = bottleneck_oracle(n, u.tolist(), v.tolist(), weights, terminals)
+        assert bottleneck(n, u, v, np.array(weights, dtype=float), terminals) == want
+
+    def test_empty_and_single_edge_graphs(self):
+        none = np.empty(0, dtype=np.int64)
+        assert bottleneck(3, none, none, np.empty(0), [0, 2]) is None
+        assert bottleneck(3, none, none, np.empty(0), [1]) == 0
+        one = np.array([2], dtype=np.int64)
+        assert bottleneck(3, np.array([0]), one, np.array([0.5]), [0, 2]) == 0.5
+        assert bottleneck(3, np.array([0]), one, np.array([0.5]), [0, 1]) is None
 
 
 class TestCrossing:

@@ -5,9 +5,11 @@ from scipy.stats import binomtest
 from abperc import (
     PointPattern,
     Region,
+    ResourceLimitError,
     delta_count,
     discretize,
     implication_holds,
+    latticecoupling,
     q_coupling,
     sample_coupled_fields,
     site_related,
@@ -91,6 +93,20 @@ class TestSampleCoupledFields:
             sample_coupled_fields((24, 24), 1.0, 0.5, 0.5, 0.3, 0)  # t < epsilon
         with pytest.raises(ValueError):
             sample_coupled_fields((2, 2), 1.0, 1.0, 0.5, 0.3, 0)  # no interior
+        for t, eps in [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                sample_coupled_fields((24, 24), eps, t, 0.5, 0.3, 0)
+
+    def test_budgets_checked_before_offsets_enumerated(self, monkeypatch):
+        # a ball of a million sites per field is refused, not enumerated
+        def enumerate_ball(t, epsilon):
+            raise AssertionError("offsets enumerated before the budget checks")
+
+        monkeypatch.setattr(latticecoupling, "ball_offsets", enumerate_ball)
+        with pytest.raises(ResourceLimitError):
+            sample_coupled_fields((8, 8), 1.0, 1000.0, 0.5, 0.3, 0)
+        with pytest.raises(ValueError, match="window"):
+            sample_coupled_fields((8, 8), 1.0, 4.0, 0.5, 0.3, 0)
 
     def test_deterministic(self):
         a = sample_coupled_fields((16, 16), 1.0, 1.5, 0.5, 0.2, 9)
