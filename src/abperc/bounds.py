@@ -114,7 +114,8 @@ def delta_count(t: float, epsilon: float, d: int) -> int:
     """Number of nonzero lattice sites of spacing epsilon within norm t.
 
     Exact enumeration of {u in eps*Z^d : 0 < ||u|| <= t}; raises when the
-    per-axis extent ceil(t/epsilon) exceeds MAX_CELLS_PER_AXIS.
+    per-axis extent ceil(t/epsilon) exceeds MAX_CELLS_PER_AXIS or the
+    enumeration's (2m+1)^(d-2) lattice lines exceed those of d = 3.
     """
     if not (0 < t < math.inf and 0 < epsilon < math.inf):
         raise ValueError("t and epsilon must be positive and finite")
@@ -125,6 +126,10 @@ def delta_count(t: float, epsilon: float, d: int) -> int:
         raise ResourceLimitError(
             f"lattice enumeration spans {rho:.6g} cells per axis "
             f"(guard {MAX_CELLS_PER_AXIS})")
+    lines = (2 * math.isqrt(math.floor(rho * rho)) + 1) ** max(d - 2, 0)
+    if lines > 2 * MAX_CELLS_PER_AXIS + 1:
+        raise ResourceLimitError(
+            f"lattice enumeration visits {lines} lines (guard {2 * MAX_CELLS_PER_AXIS + 1})")
     return _ball_lattice_count(rho * rho, d) - 1
 
 

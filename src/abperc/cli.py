@@ -224,8 +224,8 @@ def _run_bound(config: ExperimentConfig):
 
 def _run_lln(config: ExperimentConfig):
     p = config.params
-    n_values = _parse_floats(p["n"]) if isinstance(p["n"], str) else list(p["n"])
-    tau_values = _parse_floats(p["tau"]) if isinstance(p["tau"], str) else list(p["tau"])
+    n_values = _parse_floats(p["n"])
+    tau_values = _parse_floats(p["tau"])
     samples, summary = connectivity.lln_sweep(
         n_values, tau_values, p["trials"], config.seed, jobs=config.jobs)
     rows = [[s.n, s.tau, s.trial, s.rho, s.statistic] for s in samples]
@@ -240,7 +240,7 @@ def _run_lln(config: ExperimentConfig):
 
 def _run_mindeg(config: ExperimentConfig):
     p = config.params
-    alphas = _parse_floats(p["alpha"]) if isinstance(p["alpha"], str) else list(p["alpha"])
+    alphas = _parse_floats(p["alpha"])
     rows, fractions = [], {}
     for ai, alpha in enumerate(alphas):
         fraction, indicators = connectivity.min_degree_diagnostic(

@@ -164,13 +164,24 @@ def summarize_thresholds(samples) -> list[dict]:
     for (n, tau) in sorted(cells):
         stats = np.array([s.statistic for s in cells[(n, tau)]])
         rhos = np.array([s.rho for s in cells[(n, tau)]])
-        q25, q50, q75 = np.percentile(stats, [25, 50, 75])
+        q25, q50, q75 = _quartiles(stats)
         rows.append({
             "n": n, "tau": tau, "trials": len(stats),
             "median_statistic": float(q50), "q25_statistic": float(q25),
             "q75_statistic": float(q75), "median_rho": float(np.median(rhos)),
         })
     return rows
+
+
+def _quartiles(values) -> np.ndarray:
+    """25th, 50th and 75th percentiles by numpy's linear interpolation, with
+    +inf (where numpy gives nan) wherever a +inf value gets positive weight."""
+    xs = np.sort(values)
+    finite = int(np.isfinite(xs).sum())  # +inf values sort last
+    q = np.percentile(np.minimum(xs, xs[finite - 1] if finite else 0.0), [25, 50, 75])
+    # the interpolation at position h = (n - 1) * p weighs values 0..ceil(h)
+    reach = np.ceil((len(xs) - 1) * np.array([0.25, 0.5, 0.75]))
+    return np.where(reach >= finite, math.inf, q)
 
 
 def g1_min_degree_is_zero(X: PointPattern, Y: PointPattern, r: float) -> bool:

@@ -180,22 +180,6 @@ def crossing_exists(graph: Graph, margin: float | None = None) -> bool:
     return bool(np.intersect1d(labels[low], labels[high]).size > 0)
 
 
-def gap_blocks_crossing(coords, side: float, s: float) -> bool:
-    """Whether no graph with hops <= s can span the box, by its axis coordinates.
-
-    ``coords`` are the vertices' first coordinates and the margin is s. A
-    spanning path needs a vertex in each margin and hops across every empty
-    gap of the sorted coordinates that separates the margins, and no pair
-    across a gap whose float square exceeds s*s passes the ``d2 <= s*s``
-    predicate. This needs no edges.
-    """
-    xs = np.sort(coords)
-    if xs.size == 0 or xs[0] > s or xs[-1] < side - s:
-        return True
-    gaps = np.diff(xs)
-    return bool(np.any((gaps * gaps > s * s) & (xs[1:] > s) & (xs[:-1] < side - s)))
-
-
 def bottleneck(n: int, u, v, weights, terminals):
     """Smallest weight w at which the edges (u, v) of weight <= w join every
     terminal into one component; None when the whole graph does not.

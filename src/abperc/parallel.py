@@ -12,8 +12,6 @@ def parallel_starmap(fn, tasks, jobs: int = 1) -> list:
     byte-identical for any ``jobs`` value; only wall time changes.
     """
     tasks = list(tasks)
-    if jobs is None:
-        jobs = 1
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -28,8 +28,7 @@ import numpy as np
 from .errors import EstimationError
 from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
-from .geomgraph import (build_bipartite, build_unigraph, crossing_exists, crossing_step,
-                        gap_blocks_crossing)
+from .geomgraph import build_bipartite, build_unigraph, crossing_exists, crossing_step
 
 DEFAULT_MU_MAX = 1.0e6
 
@@ -97,13 +96,13 @@ def _sweep(sampler: CoupledSampler, start: float, top: float, crossing_count) ->
     ``crossing_count(points, lam)`` takes the swept pattern at intensity lam
     and returns the smallest k such that its first k points complete a
     crossing, or None. Prefixes of the pattern at ``top`` are tried at
-    intensities doubling from ``start`` (0 < start <= top, or start = top = 0)
-    until one crosses. The time is the k-th event time (0 for k = 0), so the
-    crossing holds at intensity lam exactly when ``time <= lam * volume``;
-    inf when the pattern at ``top`` does not cross.
+    intensities doubling from ``min(start, top)`` until one crosses; a probe
+    sweep starts at s**-d, s its connection distance. The time is the k-th
+    event time (0 for k = 0) from any start: the crossing holds at intensity
+    lam exactly when ``time <= lam * volume``; inf if ``top`` does not cross.
     """
     points = sampler.prefix(top).points
-    lam = start
+    lam = min(start, top)
     while True:
         k = crossing_count(points[:sampler.count_at(lam)], lam)
         if k is not None:
@@ -124,8 +123,6 @@ def one_type_crossing_time(seed: int, trial: int, start: float, top: float, r: f
     sampler = CoupledSampler(region, seed, "A", path=(trial,))
 
     def crossing_count(points, lam):
-        if gap_blocks_crossing(points[:, 0], L, 2.0 * r):
-            return None
         graph = build_unigraph(PointPattern(region, points, lam, seed), 2.0 * r)
         # point i arrives at step i + 1
         return crossing_step(graph, np.arange(1, len(points) + 1))
@@ -145,8 +142,6 @@ def ab_crossing_time(seed: int, trial: int, lam: float, start: float, top: float
     sampler = CoupledSampler(region, seed, "B", path=(trial,))
 
     def crossing_count(points, mu):
-        if gap_blocks_crossing(np.concatenate([X.points[:, 0], points[:, 0]]), L, r):
-            return None
         graph = build_bipartite(X, PointPattern(region, points, mu, seed), r)
         # A points are present from step 1 and B point j arrives at step j + 2,
         # so a crossing at step k needs the first k - 1 B points
@@ -155,15 +150,6 @@ def ab_crossing_time(seed: int, trial: int, lam: float, start: float, top: float
         return None if k is None else k - 1
 
     return _sweep(sampler, start, top, crossing_count)
-
-
-def _sweep_start(values, unit: float) -> float:
-    """Start of a doubling sweep up to ``max(values)``: the smallest positive
-    value, or ``unit`` where that is smaller. Each crossing time is exact from
-    any start, which sets only the cost of the sweep."""
-    if max(values, default=0.0) <= 0:
-        return 0.0
-    return min([v for v in values if v > 0] + [unit])
 
 
 def _crossing_times(start, top, r, L, trials, seed, d, jobs) -> list[float]:
@@ -249,7 +235,8 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
     ``kind`` is "one-type" (intensities are lambda values, graph distance 2r)
     or "AB" (intensities are (lambda, mu) pairs, graph radius r; the probe
     value of each result records the B intensity). Each seed is swept once
-    per distinct lambda on the AB axis, and once in all on the one-type axis.
+    per distinct lambda on the AB axis, and once in all on the one-type axis,
+    from the unit intensity of the connection distance as in :func:`_sweep`.
     """
     _validate_geometry(r, L, trials)
     volume = Region("box", L, d).volume
@@ -259,8 +246,8 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
             _require_finite(lam=lam)
             if lam < 0:
                 raise ValueError("intensity must be nonnegative")
-        times = _crossing_times(_sweep_start(values, (2.0 * r)**-d), max(values, default=0.0),
-                                r, L, trials, seed, d, jobs)
+        times = _crossing_times((2.0 * r)**-d, max(values, default=0.0), r, L, trials, seed,
+                                d, jobs)
         counts = [(lam, sum(_crossings_at(times, lam, volume))) for lam in values]
     elif kind == "AB":
         pairs = []
@@ -273,8 +260,7 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
         times = {}
         for lam in dict.fromkeys(lam for lam, _ in pairs):
             mus = [mu for a, mu in pairs if a == lam]
-            tasks = [(seed, t, lam, _sweep_start(mus, r**-d), max(mus), r, L, d)
-                     for t in range(trials)]
+            tasks = [(seed, t, lam, r**-d, max(mus), r, L, d) for t in range(trials)]
             times[lam] = parallel_starmap(ab_crossing_time, tasks, jobs)
         counts = [(mu, sum(_crossings_at(times[lam], mu, volume))) for lam, mu in pairs]
     else:
@@ -305,8 +291,7 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
         raise ValueError("bracket must satisfy 0 <= low < high")
 
     # every probe lies in [low, high]
-    start = low if low > 0 else min((2.0 * r)**-d, high)
-    times = _crossing_times(start, high, r, L, trials, seed, d, jobs)
+    times = _crossing_times((2.0 * r)**-d, high, r, L, trials, seed, d, jobs)
     volume = Region("box", L, d).volume
     probes = []
 

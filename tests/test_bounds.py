@@ -101,6 +101,11 @@ class TestDeltaCount:
         with pytest.raises(ResourceLimitError):
             delta_count(1.0, 1e-5, 2)
 
+    def test_guard_bounds_lattice_lines_in_high_dimension(self):
+        # 201**2 lines of one numpy call each, against 2 * MAX_CELLS_PER_AXIS + 1
+        with pytest.raises(ResourceLimitError):
+            delta_count(100.0, 1.0, 4)
+
     def test_volume_inequality_under_admissible_spacing(self):
         # eps^d * Delta <= pi_d * r^d when eps comes from the spacing rule
         rng = np.random.default_rng(2)

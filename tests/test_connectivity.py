@@ -17,7 +17,8 @@ from abperc import (
     radius_for_sqdist,
     rho_threshold,
 )
-from abperc.connectivity import radius_for_alpha, summarize_thresholds, threshold_trial
+from abperc.connectivity import (ThresholdSample, radius_for_alpha, summarize_thresholds,
+                                 threshold_trial)
 from abperc.geomgraph import bipartite_edges
 from conftest import build_g1, min_degree, random_pattern, rho_oracle
 
@@ -297,3 +298,17 @@ class TestSummaries:
         samples, _ = lln_sweep([60.0], [1.0], 3, seed=5)
         rows = summarize_thresholds(samples)
         assert len(rows) == 1 and rows[0]["trials"] == 3
+
+    def test_infinite_statistics_give_exact_quartiles(self):
+        # a cell without B points has rho = statistic = +inf
+        def cell(stats):
+            samples = [ThresholdSample(100.0, 1.0, i, s, s, 0) for i, s in enumerate(stats)]
+            row, = summarize_thresholds(samples)
+            return [row[k] for k in ("q25_statistic", "median_statistic", "q75_statistic")]
+
+        assert cell([0.5, math.inf, 0.1]) == [0.3, 0.5, math.inf]
+        assert cell([math.inf] * 3) == [math.inf] * 3
+        assert cell([0.2, math.inf]) == [math.inf] * 3
+        assert cell([0.1, 0.2, 0.3, 0.4, math.inf]) == [0.2, 0.3, 0.4]
+        finite = [0.37, 0.11, 0.93, 0.58]
+        assert cell(finite) == np.percentile(finite, [25, 50, 75]).tolist()

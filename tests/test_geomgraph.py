@@ -17,7 +17,7 @@ from abperc import (
     is_connected_g1,
     radius_for_sqdist,
 )
-from abperc.geomgraph import bottleneck, gap_blocks_crossing
+from abperc.geomgraph import bottleneck
 from conftest import (
     bfs_components,
     bipartite_adjacency,
@@ -446,20 +446,6 @@ class TestCrossing:
             (steps <= k)[:len(left)], (steps <= k)[len(left):]))), None)
         assert crossing_step(graph_of(everything[:len(left)], everything[len(left):]),
                              steps) == want
-        if gap_blocks_crossing(np.concatenate([left[:, 0], right[:, 0]]), side, 1.0):
-            assert want is None
-
-    def test_gap_blocks_crossing_at_exact_spacing(self):
-        xs = np.arange(0.5, 10.0, 1.0)
-        assert not gap_blocks_crossing(xs, 10.0, 1.0)
-        xs[5] = np.nextafter(xs[5], 10.0)
-        assert gap_blocks_crossing(xs, 10.0, 1.0)
-        # a point in both margins spans on its own, whatever the gaps
-        assert not gap_blocks_crossing(np.array([0.2, 5.0]), 10.0, 5.0)
-        # an empty margin blocks; one exactly s from the face is not empty
-        assert gap_blocks_crossing(np.array([]), 10.0, 1.0)
-        assert gap_blocks_crossing(np.arange(1.5, 10.0, 1.0), 10.0, 1.0)
-        assert not gap_blocks_crossing(np.arange(1.0, 9.5, 1.0), 10.0, 1.0)
 
     def test_bipartite_crossing_uses_both_sides(self):
         region = Region("box", 8.0, 2)

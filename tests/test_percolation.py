@@ -50,6 +50,13 @@ class TestCrossingProbability:
         probes = crossing_probability("AB", [(0.5, 0.0)], r=1.0, L=10.0, trials=50, seed=0)
         assert probes[0].p_hat == 0.0
 
+    def test_sweep_stops_at_highest_probe(self):
+        # the unit intensities (2r)**-2 and r**-2 exceed the sampling budget here
+        probes = crossing_probability("one-type", [0.0, 0.5], r=1e-3, L=10.0, trials=5, seed=0)
+        assert [p.successes for p in probes] == [0, 0]
+        probes = crossing_probability("AB", [(0.5, 0.5)], r=1e-3, L=10.0, trials=5, seed=0)
+        assert probes[0].successes == 0
+
     def test_saturation_far_above_critical(self):
         probes = crossing_probability("one-type", [36.0], r=1.0, L=10.0, trials=100, seed=1)
         assert probes[0].p_hat >= 0.99
@@ -200,6 +207,44 @@ class TestCrossingTime:
             ab_crossing_time(0, 0, 0.5, 1.0, 1e9, 1.0, 10.0, 2)
         with pytest.raises(ResourceLimitError):
             ab_crossing_time(0, 0, 1e9, 1.0, 1.0, 1.0, 10.0, 2)
+
+
+class TestPinnedProbeLogs:
+    """(value, successes) of small seeded runs, as recorded before the sweeps
+    shared one start: a changed crossing time or probe order changes a pair."""
+
+    RUNS = {
+        "lambda_c_r1": (
+            lambda: estimate_lambda_c(1.0, 12.0, 200, 0.02, 3).probes,
+            [(0.01, 0), (2.0, 200), (1.005, 200), (0.5075, 183), (0.25875, 35),
+             (0.38312499999999994, 118), (0.3209375, 76), (0.35203124999999996, 99),
+             (0.367578125, 110)]),
+        "lambda_c_r2": (
+            lambda: estimate_lambda_c(2.0, 20.0, 100, 0.01, 4).probes,
+            [(0.0025, 0), (0.5, 100), (0.25125, 100), (0.126875, 91), (0.0646875, 24),
+             (0.09578124999999998, 66), (0.080234375, 48), (0.08800781249999999, 56)]),
+        "lambda_c_d3": (
+            lambda: estimate_lambda_c(1.0, 6.0, 100, 0.01, 5, d=3, bracket=(0.01, 0.3)).probes,
+            [(0.01, 0), (0.3, 100), (0.155, 88), (0.0825, 47), (0.11875, 76),
+             (0.10062499999999999, 61), (0.09156249999999999, 51)]),
+        # 0.05 lies below the unit intensity (2r)**-2 = 0.25, 0.3 and 0.5 above it
+        "one_type": (
+            lambda: crossing_probability("one-type", [0.0, 0.05, 0.3, 0.5], 1.0, 10.0, 200, 6),
+            [(0.0, 0), (0.05, 0), (0.3, 75), (0.5, 179)]),
+        "AB": (
+            lambda: crossing_probability("AB", [(0.72, 0.3), (0.72, 2.0), (1.0, 0.5)], 1.0, 10.0,
+                                         100, 7),
+            [(0.3, 0), (2.0, 79), (0.5, 3)]),
+        "mu_c": (
+            lambda: estimate_mu_c(1.0, 0.72, 10.0, 100, 0.1, 8).probes,
+            [(math.inf, 100), (1.0, 25), (2.0, 75), (1.5, 53), (1.25, 39), (1.375, 46),
+             (1.4375, 50)]),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_probe_log(self, name):
+        run, want = self.RUNS[name]
+        assert [(p.value, p.successes) for p in run()] == want
 
 
 class TestNonFiniteInputs:
