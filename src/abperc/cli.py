@@ -2,7 +2,9 @@
 
 Every subcommand writes ``<out>.csv`` (pure data, no timestamp, so reruns are
 byte-identical) and ``<out>.summary.json`` (settings echo, results, and a
-wall-clock stamp under the key excluded from reproducibility comparisons).
+wall-clock stamp under the key excluded from reproducibility comparisons);
+``lln`` also writes ``<out>.medians.csv``. Handlers only compute; :func:`run`
+alone writes the files, after the whole computation.
 """
 
 from __future__ import annotations
@@ -28,12 +30,8 @@ class ExperimentConfig:
     jobs: int
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, kind=float) -> list:
+    return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,128 +142,110 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def _probe_rows(probes):
-    header = ["probe", "trials", "successes", "p_hat", "ci_low", "ci_high"]
-    rows = [[p.value, p.trials, p.successes, p.p_hat, p.ci_low, p.ci_high]
-            for p in probes]
-    return header, rows
+    return (["probe", "trials", "successes", "p_hat", "ci_low", "ci_high"],
+            [[p.value, p.trials, p.successes, p.p_hat, p.ci_low, p.ci_high] for p in probes])
 
 
 def run(config: ExperimentConfig) -> int:
-    """Dispatch one experiment; writes the CSV/JSON outputs."""
+    """Dispatch one experiment, then write all of its files.
+
+    Each handler takes (params, seed, jobs) and returns (tables, results):
+    tables maps an output suffix to (header, rows), results is the summary
+    payload without the config echo. A run that fails writes nothing.
+    """
     handler = _HANDLERS.get(config.subcommand)
     if handler is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
     if config.jobs < 1:
         raise ValueError("jobs must be at least 1")
-    handler(config)
+    tables, results = handler(config.params, config.seed, config.jobs)
+    for suffix, (header, rows) in tables.items():
+        write_csv(f"{config.out}{suffix}", header, rows)
+    write_summary(f"{config.out}.summary.json", {"config": asdict(config), **results})
     return 0
 
 
-def _run_sample(config: ExperimentConfig):
-    p = config.params
+def _run_sample(p, seed, jobs):
     region = Region(p["kind"], p["L"], p["d"])
-    pattern = sample_poisson(region, p["intensity"], config.seed)
-    pattern.to_csv(f"{config.out}.csv")
-    write_summary(f"{config.out}.summary.json",
-                  {"config": asdict(config), "count": len(pattern)})
+    pattern = sample_poisson(region, p["intensity"], seed)
+    header = ["index"] + [f"x{k + 1}" for k in range(region.dim)]
+    rows = [[i, *map(float, x)] for i, x in enumerate(pattern.points)]
+    return {".csv": (header, rows)}, {"count": len(pattern)}
 
 
-def _run_percolate(config: ExperimentConfig):
-    p = config.params
+def _run_percolate(p, seed, jobs):
     if p.get("intensities"):
-        values = _parse_floats(p["intensities"])
         probes = percolation.crossing_probability(
-            "one-type", values, p["r"], p["L"], p["trials"], config.seed,
-            d=p["d"], jobs=config.jobs)
-        write_csv(f"{config.out}.csv", *_probe_rows(probes))
-        write_summary(f"{config.out}.summary.json",
-                      {"config": asdict(config), "mode": "probe-only"})
-        return
-    bracket = tuple(_parse_floats(p["bracket"])) if p.get("bracket") else None
+            "one-type", _parse_list(p["intensities"]), p["r"], p["L"], p["trials"], seed,
+            d=p["d"], jobs=jobs)
+        return {".csv": _probe_rows(probes)}, {"mode": "probe-only"}
+    bracket = tuple(_parse_list(p["bracket"])) if p.get("bracket") else None
     est = percolation.estimate_lambda_c(
-        p["r"], p["L"], p["trials"], p["tol"], config.seed, d=p["d"],
-        bracket=bracket, target=p["target"], jobs=config.jobs)
-    write_csv(f"{config.out}.csv", *_probe_rows(est.probes))
-    write_summary(f"{config.out}.summary.json",
-                  {"config": asdict(config), "estimate": _estimate_payload(est)})
+        p["r"], p["L"], p["trials"], p["tol"], seed, d=p["d"],
+        bracket=bracket, target=p["target"], jobs=jobs)
+    return _estimate_outputs(est)
 
 
-def _run_mu_c(config: ExperimentConfig):
-    p = config.params
+def _run_mu_c(p, seed, jobs):
     est = percolation.estimate_mu_c(
-        p["r"], p["lam"], p["L"], p["trials"], p["tol"], config.seed, d=p["d"],
-        mu_max=p["mu_max"], target=p["target"], jobs=config.jobs)
-    write_csv(f"{config.out}.csv", *_probe_rows(est.probes))
-    write_summary(f"{config.out}.summary.json",
-                  {"config": asdict(config), "estimate": _estimate_payload(est)})
+        p["r"], p["lam"], p["L"], p["trials"], p["tol"], seed, d=p["d"],
+        mu_max=p["mu_max"], target=p["target"], jobs=jobs)
+    return _estimate_outputs(est)
 
 
-def _estimate_payload(est: percolation.CriticalEstimate) -> dict:
+def _estimate_outputs(est: percolation.CriticalEstimate):
     payload = asdict(est)
     payload.pop("probes")
-    return payload
+    return {".csv": _probe_rows(est.probes)}, {"estimate": payload}
 
 
-def _run_bound(config: ExperimentConfig):
-    p = config.params
+def _run_bound(p, seed, jobs):
     inputs = bounds.BoundInputs(
         d=p["d"], r=p["r"], lam=p["lam"], lambda_c=p["lambda_c"],
         alphas=bounds.default_alpha_grid(p["grid_size"]))
     report = bounds.mu_bound_optimized(inputs)
-    write_csv(f"{config.out}.csv", *report.to_csv_rows())
-    write_summary(f"{config.out}.summary.json", {
-        "config": asdict(config),
+    return {".csv": report.to_csv_rows()}, {
         "mu_hat": report.mu_hat,
         "mu_hat_exact_delta": report.mu_hat_exact,
         "alpha_opt": report.alpha_opt,
         "asymptotic_constant": report.constant,
-    })
+    }
 
 
-def _run_lln(config: ExperimentConfig):
-    p = config.params
-    n_values = _parse_floats(p["n"])
-    tau_values = _parse_floats(p["tau"])
+def _run_lln(p, seed, jobs):
     samples, summary = connectivity.lln_sweep(
-        n_values, tau_values, p["trials"], config.seed, jobs=config.jobs)
+        _parse_list(p["n"]), _parse_list(p["tau"]), p["trials"], seed, jobs=jobs)
     rows = [[s.n, s.tau, s.trial, s.rho, s.statistic] for s in samples]
-    write_csv(f"{config.out}.csv", ["n", "tau", "trial", "rho", "statistic"], rows)
     med_header = ["n", "tau", "trials", "median_statistic", "q25_statistic",
                   "q75_statistic", "median_rho"]
-    write_csv(f"{config.out}.medians.csv", med_header,
-              [[row[k] for k in med_header] for row in summary])
-    write_summary(f"{config.out}.summary.json",
-                  {"config": asdict(config), "cells": summary})
+    return {
+        ".csv": (["n", "tau", "trial", "rho", "statistic"], rows),
+        ".medians.csv": (med_header, [[row[k] for k in med_header] for row in summary]),
+    }, {"cells": summary}
 
 
-def _run_mindeg(config: ExperimentConfig):
-    p = config.params
-    alphas = _parse_floats(p["alpha"])
+def _run_mindeg(p, seed, jobs):
     rows, fractions = [], {}
-    for ai, alpha in enumerate(alphas):
+    for ai, alpha in enumerate(_parse_list(p["alpha"])):
         fraction, indicators = connectivity.min_degree_diagnostic(
-            p["n"], p["tau"], alpha, p["trials"], config.seed,
-            jobs=config.jobs, alpha_index=ai)
+            p["n"], p["tau"], alpha, p["trials"], seed, jobs=jobs, alpha_index=ai)
         fractions[str(alpha)] = fraction
         rows.extend([alpha, trial, int(flag)] for trial, flag in enumerate(indicators))
-    write_csv(f"{config.out}.csv", ["alpha", "trial", "min_degree_zero"], rows)
-    write_summary(f"{config.out}.summary.json",
-                  {"config": asdict(config), "fraction_zero": fractions})
+    return ({".csv": (["alpha", "trial", "min_degree_zero"], rows)},
+            {"fraction_zero": fractions})
 
 
-def _run_couple_test(config: ExperimentConfig):
+def _run_couple_test(p, seed, jobs):
     from scipy.stats import binomtest
 
-    p = config.params
-    window = tuple(_parse_ints(p["window"]))
+    window = tuple(_parse_list(p["window"], int))
     rows = []
     header = None
     pooled = {"T": [0, 0], "V": [0, 0], "W": [0, 0]}
     implication_ok = True
     for k in range(p["fields"]):
         fld = latticecoupling.sample_coupled_fields(
-            window, p["epsilon"], p["t"], p["p_lambda"], p["p_nu"],
-            config.seed, path=(k,))
+            window, p["epsilon"], p["t"], p["p_lambda"], p["p_nu"], seed, path=(k,))
         header, field_rows = latticecoupling.field_csv_rows(fld, k)
         rows.extend(field_rows)
         implication_ok &= latticecoupling.implication_holds(fld)
@@ -277,15 +257,13 @@ def _run_couple_test(config: ExperimentConfig):
                 "W": bounds.q_coupling(p["p_nu"], p["p_lambda"], Delta)}
     pvalues = {key: binomtest(pooled[key][0], pooled[key][1], expected[key]).pvalue
                for key in pooled}
-    write_csv(f"{config.out}.csv", header, rows)
-    write_summary(f"{config.out}.summary.json", {
-        "config": asdict(config),
+    return {".csv": (header, rows)}, {
         "delta_sites": Delta,
         "expected_marginals": expected,
         "pooled_counts": pooled,
         "binomial_pvalues": pvalues,
         "implication_holds": implication_ok,
-    })
+    }
 
 
 _HANDLERS = {

@@ -16,9 +16,4 @@ def parallel_starmap(fn, tasks, jobs: int = 1) -> list:
         return [fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(tasks) // (4 * jobs))
-        return list(pool.map(_apply, [(fn, t) for t in tasks], chunksize=chunk))
-
-
-def _apply(packed):
-    fn, task = packed
-    return fn(*task)
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))

@@ -212,10 +212,15 @@ def _require_finite(**params) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _validate_geometry(r: float, L: float, trials: int) -> None:
+def _validate_geometry(r: float, L: float, trials: int, d: int) -> None:
     _require_finite(r=r, L=L)
     if r <= 0:
         raise ValueError("radius must be positive")
+    try:
+        r**-d
+    except OverflowError:
+        raise ValueError(f"radius {r!r} is too small: its unit intensity r**-{d} "
+                         "overflows") from None
     if L < 4 * r:
         raise ValueError("box side must be at least 4r")
     if trials < 1:
@@ -238,7 +243,7 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
     per distinct lambda on the AB axis, and once in all on the one-type axis,
     from the unit intensity of the connection distance as in :func:`_sweep`.
     """
-    _validate_geometry(r, L, trials)
+    _validate_geometry(r, L, trials, d)
     volume = Region("box", L, d).volume
     if kind == "one-type":
         values = [float(v) for v in intensities]
@@ -278,7 +283,7 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
     target at its low end and at or above it at the high end, with width at
     most ``tol``. The estimate is the bracket midpoint.
     """
-    _validate_geometry(r, L, trials)
+    _validate_geometry(r, L, trials, d)
     _require_finite(tol=tol, target=target)
     _validate_target(target)
     if tol <= 0:
@@ -325,7 +330,7 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     ``tol``. At each doubling level only the seeds not yet crossed are swept
     for their B crossing time, so every probe is ``T_B <= mu * volume``.
     """
-    _validate_geometry(r, L, trials)
+    _validate_geometry(r, L, trials, d)
     _require_finite(lam=lam, tol=tol, target=target)
     _validate_target(target)
     if lam <= 0:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .reporting import write_csv
 from .seeding import STREAM_IDS, derived_rng
 
 # expected point count of one pattern; beyond it sampling would exhaust memory
@@ -42,6 +41,11 @@ class Region:
             raise ValueError(f"region side must be finite and positive, got {self.side!r}")
         if self.dim < 1:
             raise ValueError("region dimension must be >= 1")
+        try:
+            self.side**self.dim
+        except OverflowError:
+            raise ValueError(f"region volume side**dim overflows for side {self.side!r} "
+                             f"in dimension {self.dim}") from None
 
     @property
     def volume(self) -> float:
@@ -85,12 +89,6 @@ class PointPattern:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def to_csv(self, path) -> None:
-        """Write one point per row: index, x1, ..., xd."""
-        header = ["index"] + [f"x{k + 1}" for k in range(self.region.dim)]
-        rows = [[i, *map(float, p)] for i, p in enumerate(self.points)]
-        write_csv(path, header, rows)
 
 
 def sample_poisson(region: Region, intensity: float, seed: int) -> PointPattern:

@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 
+import numpy as np
 import pytest
 
-from abperc import CoupledSampler
+from abperc import CoupledSampler, Region, sample_poisson
 from abperc.cli import ExperimentConfig, build_parser, config_from_args, main, run
 from abperc.reporting import TIMESTAMP_KEY
 
@@ -135,6 +137,55 @@ class TestArgumentHandling:
         assert "jobs" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["percolate", "--intensities", "0.1"],
+        ["percolate", "--bracket", "0.01,0.3"],
+        ["mu-c", "--lambda", "0.5"],
+    ], ids=["percolate-probes", "percolate-bisection", "mu-c"])
+    def test_tiny_radius_exits_1(self, tmp_path, capsys, argv):
+        # the unit intensity r**-d of this radius overflows a float
+        code = run_cli([*argv, "--r", "1e-160", "--L", "1", "--trials", "2",
+                        "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abperc: error:") and "radius 1e-160" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--intensity", "1"],
+        ["percolate", "--intensities", "0.1", "--trials", "2"],
+        ["mu-c", "--lambda", "0.5", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_box_volume_exits_1(self, tmp_path, capsys, argv):
+        code = run_cli([*argv, "--L", "1e200", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abperc: error:") and "volume" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_line_reaches_budget_check(self, tmp_path, capsys):
+        code = run_cli(["sample", "--L", "1e200", "--d", "1", "--intensity", "1",
+                        "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--intensity", "-1"],
+        ["percolate", "--bracket", "0.5,0.6", "--L", "8", "--trials", "5"],
+        ["mu-c", "--lambda", "0.72", "--L", "8", "--trials", "2", "--target", "1.5"],
+        ["bound", "--lambda", "nan", "--lambda-c", "0.36"],
+        ["lln", "--n", "100,1e9", "--trials", "1"],
+        ["mindeg", "--n", "200", "--alpha", "0.5,nan", "--trials", "2"],
+        ["couple-test", "--window", "8,8", "--p-lambda", "0.6", "--p-nu", "0.3", "--t", "-1"],
+    ], ids=lambda argv: argv[0])
+    def test_library_failure_writes_no_file(self, tmp_path, capsys, argv):
+        # each input passes run's own checks and fails inside the library
+        code = run_cli([*argv, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("abperc: error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no equals sign here\n")
@@ -151,6 +202,19 @@ class TestSubcommands:
         summary = json.loads((tmp_path / "pts.summary.json").read_text())
         assert summary["count"] == len(lines) - 1
         assert TIMESTAMP_KEY in summary
+
+    def test_sample_csv_round_trip(self, tmp_path):
+        out = tmp_path / "pts"
+        assert run_cli(["sample", "--intensity", "30", "--L", "1", "--seed", "12",
+                        "--out", str(out)]) == 0
+        lines = (tmp_path / "pts.csv").read_text().strip().splitlines()
+        assert lines[0] == "index,x1,x2"
+        expected = sample_poisson(Region("box", 1.0, 2), 30.0, 12).points
+        assert len(lines) == len(expected) + 1
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(len(expected)))
+        got = np.array([[float(tok) for tok in row[1:]] for row in rows])
+        assert np.array_equal(got, expected)
 
     def test_bound_report_files(self, tmp_path):
         out = tmp_path / "bound"
@@ -219,6 +283,16 @@ class TestReproducibility:
             paths.append(out)
         data = [(p.parent / (p.name + ".csv")).read_bytes() for p in paths]
         assert data[0] == data[1] == data[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["percolate", "--intensities", "0.2,0.4", "--L", "8", "--trials", "4"],
+        ["mu-c", "--lambda", "0.72", "--L", "8", "--trials", "4", "--tol", "2"],
+        ["lln", "--n", "100,300", "--trials", "2"],
+        ["mindeg", "--n", "200", "--alpha", "0.3,1", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_pool_leaves_no_process(self, tmp_path, argv):
+        assert run_cli([*argv, "--jobs", "2", "--out", str(tmp_path / "x")]) == 0
+        assert multiprocessing.active_children() == []
 
     def test_run_via_config_object(self, tmp_path):
         parser = build_parser()
