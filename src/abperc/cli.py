@@ -236,6 +236,8 @@ def _run_mindeg(p, seed, jobs):
 
 
 def _run_couple_test(p, seed, jobs):
+    if p["fields"] < 1:
+        raise ValueError(f"--fields must be at least 1, got {p['fields']}")
     from scipy.stats import binomtest
 
     window = tuple(_parse_list(p["window"], int))

@@ -10,6 +10,13 @@ The threshold is read off the bipartite A-B graph, whose paths x-y-x' are
 the shared-neighbor edges: one connected-components pass at the minimum-
 degree radius and, when that leaves A disconnected, one bottleneck over its
 components.
+
+The pairs are streamed: B points are queried against one k-d tree over the A
+points in blocks of ``_BLOCK`` points, in their own tree's leaf order. The
+minimum-degree radius needs only each B point's two nearest A distances,
+which a block has in full, so it folds across blocks. Beyond one block's
+query, a pass holds only the pairs within the cap in compact form (16 bytes
+each) until it knows that radius; then it keeps those within it.
 """
 
 from __future__ import annotations
@@ -19,9 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomgraph import Graph, bipartite_edges, bottleneck, components, radius_for_sqdist
+from .geomgraph import Graph, NeighborGrid, bottleneck, components, radius_for_sqdist
 from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
+
+# Y points queried per block in a cap pass: one block's pairs and coordinates
+# are the pass's working set beside the compact pairs it keeps
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -40,10 +51,11 @@ def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = 
     """Exact minimum r such that the shared-neighbor graph on X is connected.
 
     Only the X-Y pairs within a radius cap, doubled until they connect X, are
-    generated. Their minimum-degree radius rho_deg is exact; if one connected-
-    components pass finds the graph at rho_deg connected, that is the answer,
-    else it is the :func:`~abperc.geomgraph.bottleneck` that joins the
-    components holding X points along the longer pairs between components.
+    generated, one block of Y points at a time. Their minimum-degree radius
+    rho_deg is exact; if one connected-components pass finds the graph at
+    rho_deg connected, that is the answer, else a second pass over the blocks
+    finds the :func:`~abperc.geomgraph.bottleneck` that joins the components
+    holding X points along the longer pairs between components.
     Returns 0 for at most one X point and +inf when Y is empty but X has two
     or more points.
     """
@@ -75,40 +87,83 @@ def _default_cap(region: Region, nx: int, ny: int) -> float:
 def _sweep_to_connectivity(X, Y, cap):
     """One cap pass: the exact threshold if the pairs within ``cap`` connect X, else None."""
     nx = len(X)
-    xi, yi, sqd = bipartite_edges(X, Y, cap)
-    deg2 = _min_degree_sqdist(xi, yi, sqd, nx, len(Y))
+    blocks = _pair_blocks(X, Y)
+    # only compact pairs outlive their block: X index, global Y index, sqdist
+    link, kept = np.full(nx, np.inf), []
+    for xi, yi, sqd, block in blocks(cap):
+        _fold_min_degree(link, xi, yi, sqd, len(block))
+        kept.append((xi.astype(np.int32), block[yi].astype(np.int32), sqd))
+    deg2 = float(link.max())
     if deg2 == math.inf:
         return None
     # no smaller threshold connects, since every X point needs a shared neighbor
-    rho_deg, within = radius_for_sqdist(deg2), sqd <= deg2
+    rho_deg = radius_for_sqdist(deg2)
+    for i, (xi, yi, sqd) in enumerate(kept):
+        within = sqd <= deg2
+        kept[i] = xi[within], yi[within]
+    xi, yi = (np.concatenate(side) for side in zip(*kept))
+    del kept
     points = np.concatenate([X.points, Y.points])
-    labels, count = components(Graph(X.region, points, rho_deg, xi[within], yi[within] + nx))
+    labels, count = components(Graph(X.region, points, rho_deg, xi, yi + nx))
     if np.all(labels[:nx] == labels[0]):
         return rho_deg
     # pairs within deg2 are merged already: join the components that hold X
     # points along the longer pairs between components, the lightest per two
-    lx, ly = labels[xi], labels[nx + yi]
-    rest = np.flatnonzero((sqd > deg2) & (lx != ly))
-    rest = rest[np.argsort(sqd[rest])]
-    a, b = lx[rest].astype(np.int64), ly[rest].astype(np.int64)
-    _, first = np.unique(a * count + b, return_index=True)
-    w = bottleneck(count, a[first], b[first], sqd[rest[first]], np.unique(labels[:nx]))
+    joins = []
+    for xi, yi, sqd, block in blocks(cap):
+        lx, ly = labels[xi], labels[nx + block[yi]]
+        rest = lx != ly
+        joins.append(_lightest(lx[rest], ly[rest], sqd[rest], count))
+    a, b, w = _lightest(*(np.concatenate(part) for part in zip(*joins)), count)
+    w = bottleneck(count, a, b, w, np.unique(labels[:nx]))
     return None if w is None else radius_for_sqdist(w)
 
 
-def _min_degree_sqdist(xi, yi, sqd, nx, ny) -> float:
-    """Smallest squared radius at which every X point has a shared neighbor
-    among the given pairs (+inf if some never does). Pair (x, y) serves x from
-    the larger of its own squared distance and y's smallest to another X point."""
+def _pair_blocks(X, Y):
+    """A function of r yielding (xi, yi, sqd, block): the X-Y pairs within r, one
+    block of ``_BLOCK`` Y points at a time.
+
+    ``block`` holds the Y indices of the block and ``yi`` indexes it. A block
+    lists every X neighbour of its Y points, and the Y points go in their k-d
+    tree's leaf order, so that each block covers a compact patch of the region.
+    """
+    grid = NeighborGrid(X.points, X.region)
+    order = NeighborGrid(Y.points, Y.region).tree.indices
+
+    def blocks(r):
+        for lo in range(0, len(order), _BLOCK):
+            block = order[lo:lo + _BLOCK]
+            yi, xi, sqd = grid.pairs_against(Y.points[block], r)
+            yield xi, yi, sqd, block
+
+    return blocks
+
+
+def _fold_min_degree(link, xi, yi, sqd, ny):
+    """Lower each link[x] to the smallest squared radius at which one of the
+    given pairs gives x a shared neighbor.
+
+    The pairs must list every X neighbour of the Y points 0..ny-1 they name.
+    Pair (x, y) serves x from the larger of its own squared distance and y's
+    smallest to another X point. Folded over blocks that cover every Y point,
+    link.max() is the minimum-degree squared radius (+inf if some X point
+    never has a shared neighbor).
+    """
     m1 = np.full(ny, np.inf)
     np.minimum.at(m1, yi, sqd)
     nearest = sqd == m1[yi]
     # y's smallest to an X point not attaining m1; m1 itself if two attain it
     m2 = np.where(np.bincount(yi[nearest], minlength=ny) >= 2, m1, np.inf)
     np.minimum.at(m2, yi[~nearest], sqd[~nearest])
-    link = np.full(nx, np.inf)
     np.minimum.at(link, xi, np.where(nearest, m2[yi], sqd))
-    return float(link.max())
+
+
+def _lightest(a, b, w, count):
+    """The lightest (a, b, w) for each distinct pair (a, b) of labels below count."""
+    order = np.argsort(w)
+    a, b, w = a[order].astype(np.int64), b[order].astype(np.int64), w[order]
+    _, first = np.unique(a * count + b, return_index=True)
+    return a[first], b[first], w[first]
 
 
 def lln_statistic(n: float, rho: float) -> float:
@@ -193,7 +248,14 @@ def g1_min_degree_is_zero(X: PointPattern, Y: PointPattern, r: float) -> bool:
     nx = len(X)
     if nx == 0:
         raise ValueError("minimum degree undefined for an empty vertex set")
-    return _min_degree_sqdist(*bipartite_edges(X, Y, r), nx, len(Y)) == math.inf
+    if X.region != Y.region:
+        raise ValueError("patterns must share a region")
+    if not (0 < r < math.inf):
+        raise ValueError("radius must be positive and finite")
+    link = np.full(nx, np.inf)
+    for xi, yi, sqd, block in _pair_blocks(X, Y)(r):
+        _fold_min_degree(link, xi, yi, sqd, len(block))
+    return float(link.max()) == math.inf
 
 
 def min_degree_trial(master_seed: int, alpha_index: int, trial: int, n: float,

@@ -194,10 +194,6 @@ def bottleneck(n: int, u, v, weights, terminals):
     tree = minimum_spanning_tree(coo_matrix((weights, (u, v)), shape=(n, n)))
     root = terminals[0]
     _, pred = breadth_first_order(tree, root, directed=False, return_predecessors=True)
-    # up[x] is the weight of the tree edge from x to its parent pred[x]
-    rows, cols = np.repeat(np.arange(n), np.diff(tree.indptr)), tree.indices
-    up = np.zeros(n, dtype=tree.dtype)
-    up[np.where(pred[rows] == cols, rows, cols)] = tree.data
     # the paths to the root meet where they first reach a vertex already walked
     seen, path = {root}, []
     for x in terminals:
@@ -207,7 +203,16 @@ def bottleneck(n: int, u, v, weights, terminals):
             seen.add(x)
             path.append(x)
             x = int(pred[x])
-    return up[path].max() if path else up.dtype.type(0)
+    if not path:
+        return tree.dtype.type(0)
+    # the edge from x to its parent is stored once, in row x or in row pred[x]:
+    # scan both rows of each walked x for the other end, at positions ``at``
+    path = np.array(path)
+    rows, ends = np.concatenate([path, pred[path]]), np.concatenate([pred[path], path])
+    start = tree.indptr[rows]
+    width = tree.indptr[rows + 1] - start
+    at = np.arange(width.sum()) + np.repeat(start - np.cumsum(width) + width, width)
+    return tree.data[at[tree.indices[at] == np.repeat(ends, width)]].max()
 
 
 def crossing_step(graph: Graph, steps) -> int | None:

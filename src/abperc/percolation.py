@@ -290,6 +290,10 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
         raise ValueError("tolerance must be positive")
     if bracket is None:
         bracket = (0.01 / r**d, 2.0 / r**d)
+        if math.isinf(bracket[1]):
+            raise ValueError(f"radius {r!r} is too small for the default bracket "
+                             f"(0.01/r**{d}, 2/r**{d}): its high end overflows; "
+                             "give the bracket explicitly")
     low, high = (float(b) for b in bracket)
     _require_finite(low=low, high=high)
     if not 0 <= low < high:

@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from abperc import CoupledSampler, Region, sample_poisson
+from abperc import CoupledSampler, Region, latticecoupling, sample_poisson
 from abperc.cli import ExperimentConfig, build_parser, config_from_args, main, run
 from abperc.reporting import TIMESTAMP_KEY
 
@@ -149,6 +149,28 @@ class TestArgumentHandling:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("abperc: error:") and "radius 1e-160" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_bracket_overflow_exits_1(self, tmp_path, capsys):
+        # r**-2 is finite here, but the default bracket's high end 2/r**2 is not
+        code = run_cli(["percolate", "--r", "1e-154", "--L", "1", "--trials", "2",
+                        "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abperc: error:") and "default bracket" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fields", ["0", "-2"])
+    def test_couple_test_without_fields_exits_1(self, tmp_path, capsys, monkeypatch, fields):
+        def sample(*args, **kwargs):
+            raise AssertionError("a field was sampled before --fields was checked")
+
+        monkeypatch.setattr(latticecoupling, "sample_coupled_fields", sample)
+        code = run_cli(["couple-test", "--window", "8,8", "--p-lambda", "0.5", "--p-nu", "0.5",
+                        "--fields", fields, "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abperc: error:") and "--fields" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

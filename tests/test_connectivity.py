@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ from abperc.connectivity import (ThresholdSample, radius_for_alpha, summarize_th
                                  threshold_trial)
 from abperc.geomgraph import bipartite_edges
 from conftest import build_g1, min_degree, random_pattern, rho_oracle
+
+
+def min_degree_sqdist(X, Y):
+    """Minimum-degree squared radius of all X-Y pairs, folded as one block."""
+    xi, yi, sqd = bipartite_edges(X, Y, X.region.max_distance)
+    link = np.full(len(X), np.inf)
+    connectivity._fold_min_degree(link, xi, yi, sqd, len(Y))
+    return float(link.max())
+
 
 LATTICE = st.integers(0, 7).map(lambda c: c / 8)
 COORD = LATTICE | st.just(math.nextafter(1.0, 0.0)) | st.floats(0.0, 1.0, exclude_max=True)
@@ -131,22 +141,23 @@ class TestRhoThreshold:
         X, Y = random_pattern(rng, 20), random_pattern(rng, 20)
         assert rho_threshold(X, Y, initial_cap=1e-6) == rho_threshold(X, Y)
 
-    # a cap from 1e-6 forces cap doublings before the pairs connect X
-    @given(instance=threshold_instances())
+    # a cap from 1e-6 forces cap doublings before the pairs connect X; blocks
+    # of 1-3 Y points make every instance span several blocks
+    @given(instance=threshold_instances(), block=st.integers(1, 3))
     @settings(max_examples=300)
-    def test_matches_oracle_on_adversarial_patterns(self, instance):
+    def test_matches_oracle_on_adversarial_patterns(self, instance, block):
         X, Y, cap = instance
         want = rho_oracle(X, Y)
-        assert rho_threshold(X, Y, initial_cap=cap) == want
-        # the min-degree radius is exact: the minimal float with no isolated X point
-        xi, yi, sqd = bipartite_edges(X, Y, X.region.max_distance)
-        rho_deg = radius_for_sqdist(connectivity._min_degree_sqdist(xi, yi, sqd, len(X), len(Y)))
-        assert rho_deg <= want
-        if rho_deg > 0:
-            assert not g1_min_degree_is_zero(X, Y, rho_deg)
-            assert min_degree(build_g1(X, Y, rho_deg)) > 0
-            below = math.nextafter(rho_deg, 0.0)
-            assert below == 0 or g1_min_degree_is_zero(X, Y, below)
+        with mock.patch.object(connectivity, "_BLOCK", block):
+            assert rho_threshold(X, Y, initial_cap=cap) == want
+            # the min-degree radius is exact: the minimal float with no isolated X point
+            rho_deg = radius_for_sqdist(min_degree_sqdist(X, Y))
+            assert rho_deg <= want
+            if rho_deg > 0:
+                assert not g1_min_degree_is_zero(X, Y, rho_deg)
+                assert min_degree(build_g1(X, Y, rho_deg)) > 0
+                below = math.nextafter(rho_deg, 0.0)
+                assert below == 0 or g1_min_degree_is_zero(X, Y, below)
 
     def test_fallback_joins_components_beyond_min_degree_radius(self, unit_square,
                                                                 monkeypatch):
@@ -163,16 +174,20 @@ class TestRhoThreshold:
             return kernel(n, u, v, weights, terminals)
 
         monkeypatch.setattr(connectivity, "bottleneck", spy)
-        rho = rho_threshold(X, Y)
-        assert rho == rho_oracle(X, Y)
-        xi, yi, sqd = bipartite_edges(X, Y, rho)
-        rho_deg = radius_for_sqdist(connectivity._min_degree_sqdist(xi, yi, sqd, 12, 13))
-        assert rho_deg < rho and not is_connected_g1(X, Y, rho_deg)
-        # only pairs between two components at rho_deg are passed, each pair once
-        assert swept
-        for u, v in swept:
-            assert np.all(u != v)
-            assert len(set(zip(u.tolist(), v.tolist()))) == len(u)
+        rho_deg = radius_for_sqdist(min_degree_sqdist(X, Y))
+        assert not is_connected_g1(X, Y, rho_deg)
+        # blocks of 2 and 5 Y points split each cluster's Y points over several
+        # blocks, so the same two components meet in more than one block
+        for block in (connectivity._BLOCK, 2, 5):
+            swept.clear()
+            monkeypatch.setattr(connectivity, "_BLOCK", block)
+            rho = rho_threshold(X, Y)
+            assert rho == rho_oracle(X, Y) and rho_deg < rho
+            # only pairs between two components at rho_deg are passed, each pair once
+            assert swept
+            for u, v in swept:
+                assert np.all(u != v)
+                assert len(set(zip(u.tolist(), v.tolist()))) == len(u)
 
     def test_mismatched_regions_rejected(self, unit_square):
         X = random_pattern(np.random.default_rng(8), 5)
@@ -264,18 +279,21 @@ class TestMinDegreeDiagnostic:
         with pytest.raises(ValueError, match="trials"):
             min_degree_diagnostic(100.0, 1.0, 0.5, -3, seed=0)
 
-    def test_fast_indicator_matches_graph_min_degree(self, unit_square):
-        rng = np.random.default_rng(11)
-        agree = 0
-        for _ in range(40):
-            X = random_pattern(rng, int(rng.integers(1, 25)))
-            Y = random_pattern(rng, int(rng.integers(0, 25)))
-            r = float(rng.uniform(0.05, 0.5))
-            fast = g1_min_degree_is_zero(X, Y, r)
-            want = min_degree(build_g1(X, Y, r)) == 0
-            assert fast == want
-            agree += fast
-        assert 0 < agree < 40
+    def test_fast_indicator_matches_graph_min_degree(self, unit_square, monkeypatch):
+        # the default block, and blocks of 1 and 3 Y points that split every pattern
+        for block in (connectivity._BLOCK, 1, 3):
+            monkeypatch.setattr(connectivity, "_BLOCK", block)
+            rng = np.random.default_rng(11)
+            agree = 0
+            for _ in range(40):
+                X = random_pattern(rng, int(rng.integers(1, 25)))
+                Y = random_pattern(rng, int(rng.integers(0, 25)))
+                r = float(rng.uniform(0.05, 0.5))
+                fast = g1_min_degree_is_zero(X, Y, r)
+                want = min_degree(build_g1(X, Y, r)) == 0
+                assert fast == want
+                agree += fast
+            assert 0 < agree < 40
 
     def test_empty_a_side_rejected(self, unit_square):
         empty = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
