@@ -35,7 +35,7 @@ from .geomgraph import (
     build_unigraph,
     components,
     crossing_exists,
-    crossing_step,
+    crossing_steps,
     is_connected_g1,
     radius_for_sqdist,
 )
@@ -44,7 +44,6 @@ from .latticecoupling import (
     discretize,
     implication_holds,
     sample_coupled_fields,
-    site_related,
 )
 from .percolation import (
     CriticalEstimate,

@@ -115,8 +115,8 @@ def _sweep_to_connectivity(X, Y, cap):
         rest = lx != ly
         joins.append(_lightest(lx[rest], ly[rest], sqd[rest], count))
     a, b, w = _lightest(*(np.concatenate(part) for part in zip(*joins)), count)
-    w = bottleneck(count, a, b, w, np.unique(labels[:nx]))
-    return None if w is None else radius_for_sqdist(w)
+    w = bottleneck(count, a, b, w, [np.unique(labels[:nx])])[0]
+    return None if w == math.inf else radius_for_sqdist(w)
 
 
 def _pair_blocks(X, Y):

@@ -3,11 +3,13 @@ type; a bipartite graph numbers its A points before its B points.
 
 Adjacency uses the closed-ball rule: an edge is present iff the (region
 metric) distance is <= the connection radius, compared on squared distances
-with no epsilon. Every graph is one fixed-radius pair query between two k-d
-trees (``scipy.spatial.cKDTree``, periodic on a torus); the tree's candidates
-are re-checked with that exact predicate. Every threshold question (the step
-at which a box is crossed, the radius at which the shared-neighbor graph
-connects) is answered by one minimum-spanning-tree kernel, :func:`bottleneck`.
+with no epsilon. Every graph is one fixed-radius pair query on k-d trees
+(``scipy.spatial.cKDTree``, periodic on a torus) whose candidates are
+re-checked with that exact predicate. Every threshold question (the step at
+which a box is crossed, the radius at which the shared-neighbor graph
+connects) is answered by one spanning-forest kernel, :func:`bottleneck`, for
+many independent terminal groups at once, such as a block of graphs
+numbered into one disjoint union.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components, mini
 
 from .pointprocess import PointPattern, Region
 
-# candidate pairs re-checked per block in NeighborGrid.pairs_against
+# candidate pairs re-checked per chunk in _within
 _CHUNK = 1 << 20
 
 
@@ -60,20 +62,25 @@ class NeighborGrid:
     def pairs_against(self, query_points: np.ndarray, radius: float):
         """All (query index, own index, sqdist) with distance <= radius."""
         query_points = np.asarray(query_points, dtype=float).reshape(-1, self.region.dim)
-        # cKDTree does not document how it rounds distances, so it is queried
-        # a little wider and the closed-ball predicate is applied here, on the
-        # region's squared distances
-        wide = radius * (1 + 1e-9) + self.region.side * 1e-12
         found = _kdtree(query_points, self.region).sparse_distance_matrix(
-            self.tree, wide, output_type="ndarray")
-        sqd = np.empty(found.size)
-        # chunked so that the candidates' coordinates are never all held at once
-        for lo in range(0, found.size, _CHUNK):
-            block = found[lo:lo + _CHUNK]
-            sqd[lo:lo + _CHUNK] = self.region.sqdist(query_points[block["i"]],
-                                                      self.points[block["j"]])
-        keep = sqd <= radius * radius
-        return found["i"][keep], found["j"][keep], sqd[keep]
+            self.tree, _wide(radius, self.region), output_type="ndarray")
+        return _within(self.region, query_points, self.points, found["i"], found["j"], radius)
+
+
+def _wide(radius: float, region: Region) -> float:
+    # cKDTree does not document how it rounds distances, so it is queried a
+    # little wider and the closed-ball predicate is applied by _within
+    return radius * (1 + 1e-9) + region.side * 1e-12
+
+
+def _within(region: Region, a: np.ndarray, b: np.ndarray, i, j, radius: float):
+    """The candidate pairs (i, j, sqdist) with ``region.sqdist(a[i], b[j]) <= radius**2``,
+    checked in chunks, so that the candidates' coordinates are never all held at once."""
+    sqd = np.empty(len(i))
+    for lo in range(0, len(i), _CHUNK):
+        sqd[lo:lo + _CHUNK] = region.sqdist(a[i[lo:lo + _CHUNK]], b[j[lo:lo + _CHUNK]])
+    keep = sqd <= radius * radius
+    return i[keep], j[keep], sqd[keep]
 
 
 def _kdtree(points: np.ndarray, region: Region):
@@ -124,9 +131,9 @@ def build_unigraph(X: PointPattern, s: float) -> Graph:
     """One-type graph with an edge for every pair i < j at distance <= s."""
     if not (0 < s < math.inf):
         raise ValueError("threshold must be positive and finite")
-    qi, pj, _ = NeighborGrid(X.points, X.region).pairs_against(X.points, s)
-    keep = qi < pj
-    return Graph(X.region, X.points, float(s), qi[keep], pj[keep])
+    pairs = _kdtree(X.points, X.region).query_pairs(_wide(s, X.region), output_type="ndarray")
+    i, j, _ = _within(X.region, X.points, X.points, pairs[:, 0], pairs[:, 1], s)
+    return Graph(X.region, X.points, float(s), i, j)
 
 
 def components(graph: Graph):
@@ -180,61 +187,72 @@ def crossing_exists(graph: Graph, margin: float | None = None) -> bool:
     return bool(np.intersect1d(labels[low], labels[high]).size > 0)
 
 
-def bottleneck(n: int, u, v, weights, terminals):
-    """Smallest weight w at which the edges (u, v) of weight <= w join every
-    terminal into one component; None when the whole graph does not.
+def bottleneck(n: int, u, v, weights, groups) -> np.ndarray:
+    """For each group of terminals, the smallest weight w at which the edges
+    (u, v) of weight <= w join the group into one component; inf when the
+    whole graph does not.
 
     The graph has vertices 0..n-1. Every weight must be > 0 (scipy's spanning
     tree drops zero weights) and each (u, v) must be listed once (building
-    the sparse matrix sums repeated entries). w is the heaviest edge on the
-    minimum spanning tree paths from each terminal to the first; with one
-    distinct terminal it is 0. ``terminals`` is nonempty.
+    the sparse matrix sums repeated entries). Groups are nonempty, and no
+    component holds terminals of two groups. w is the heaviest edge on the
+    minimum spanning forest paths from each terminal of the group to its
+    first; with one distinct terminal it is 0.
     """
-    terminals = np.asarray(terminals, dtype=np.int64).tolist()
-    tree = minimum_spanning_tree(coo_matrix((weights, (u, v)), shape=(n, n)))
-    root = terminals[0]
-    _, pred = breadth_first_order(tree, root, directed=False, return_predecessors=True)
-    # the paths to the root meet where they first reach a vertex already walked
-    seen, path = {root}, []
-    for x in terminals:
-        if pred[x] < 0 and x != root:
-            return None
-        while x not in seen:
-            seen.add(x)
-            path.append(x)
-            x = int(pred[x])
-    if not path:
-        return tree.dtype.type(0)
-    # the edge from x to its parent is stored once, in row x or in row pred[x]:
-    # scan both rows of each walked x for the other end, at positions ``at``
-    path = np.array(path)
-    rows, ends = np.concatenate([path, pred[path]]), np.concatenate([pred[path], path])
-    start = tree.indptr[rows]
-    width = tree.indptr[rows + 1] - start
-    at = np.arange(width.sum()) + np.repeat(start - np.cumsum(width) + width, width)
-    return tree.data[at[tree.indices[at] == np.repeat(ends, width)]].max()
+    starts = np.cumsum([0, *map(len, groups[:-1])])
+    terminals = np.concatenate(groups).astype(np.int64)
+    firsts = terminals[starts]
+    # a super-root n joined to each group's first terminal by a bridge, which
+    # every spanning forest keeps: one search from n walks every group's tree
+    tree = minimum_spanning_tree(coo_matrix(
+        (np.concatenate([weights, np.ones(len(groups))]),
+         (np.concatenate([u, np.full(len(groups), n)]), np.concatenate([v, firsts]))),
+        shape=(n + 1, n + 1)))
+    _, pred = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+    # up[x] is the heaviest edge on the tree path from x to anc[x], at first
+    # its parent; the root and the vertices not reached are their own parents,
+    # and the bridges to the root weigh 0 here
+    anc = np.where(pred < 0, np.arange(n + 1), pred)
+    edges = tree.tocoo()
+    up = np.zeros(n + 1)
+    up[np.where(pred[edges.col] == edges.row, edges.col, edges.row)] = edges.data
+    up[firsts] = 0.0
+    # pointer jumping: each round doubles the path that up[x] covers
+    while not np.array_equal(anc[anc[terminals]], anc[terminals]):
+        up = np.maximum(up, up[anc])
+        anc = anc[anc]
+    w = np.maximum.reduceat(up[terminals], starts)
+    w[~np.logical_and.reduceat(pred[terminals] >= 0, starts)] = np.inf
+    return w
 
 
-def crossing_step(graph: Graph, steps) -> int | None:
-    """Smallest step k at which the vertices arrived by then span the box.
+def crossing_steps(graphs_and_steps) -> list:
+    """Smallest step k at which the vertices of each graph arrived by then
+    span the box, or None if it does not span at all.
 
-    Vertex v arrives at step ``steps[v]``, an integer >= 1. Spanning at step
-    k is the event of :func:`crossing_exists` (default margin) on the
-    subgraph of the vertices with ``steps <= k``, so it is monotone in k. An
-    edge, and the link of a margin vertex to a super source (low face) or
-    super sink (high face), is present from the later arrival of its ends;
-    k is the :func:`bottleneck` between source and sink. None when the whole
-    graph does not span.
+    Takes (graph, steps) pairs: vertex v arrives at step ``steps[v]`` (an
+    integer array, values >= 1). Spanning at step k is the event of
+    :func:`crossing_exists` (default margin) on the subgraph of the vertices
+    with ``steps <= k``, so it is monotone in k. An edge, and the link of a
+    margin vertex to a super source (low face) or super sink (high face), is
+    present from the later arrival of its ends; k is the bottleneck between
+    source and sink, one :func:`bottleneck` call on the graphs' disjoint union.
     """
-    low, high = _margin_vertices(graph, None)
-    if low.size == 0 or high.size == 0:
-        return None
-    steps = np.asarray(steps, dtype=np.int64)
-    nv, u, v = graph.n_vertices, graph.edges_u, graph.edges_v
-    source, sink = nv, nv + 1
-    k = bottleneck(nv + 2,
-                   np.concatenate([u, np.full(low.size, source), np.full(high.size, sink)]),
-                   np.concatenate([v, low, high]),
-                   np.concatenate([np.maximum(steps[u], steps[v]), steps[low], steps[high]]),
-                   [source, sink])
-    return None if k is None else int(k)
+    parts, groups = [], []
+    offset = 0
+    for graph, arrive in graphs_and_steps:
+        low, high = _margin_vertices(graph, None)
+        nv, u, v = graph.n_vertices, graph.edges_u, graph.edges_v
+        # the graph's edges, then the links of its source nv and sink nv + 1,
+        # numbered into the union as int32, which keeps the kernel's copies small
+        ends = (np.concatenate([u, np.full(low.size, nv), np.full(high.size, nv + 1)]),
+                np.concatenate([v, low, high]))
+        parts.append([end.astype(np.int32) + np.int32(offset) for end in ends] + [
+            np.concatenate([np.maximum(arrive[u], arrive[v]), arrive[low], arrive[high]])])
+        groups.append((offset + nv, offset + nv + 1))
+        offset += nv + 2
+    # dropped before the kernel runs, so that the union is never held twice
+    union = [np.concatenate(part) for part in zip(*parts)]
+    del parts
+    k = bottleneck(offset, *union, groups)
+    return [None if w == np.inf else int(w) for w in k]

@@ -56,25 +56,6 @@ def ball_offsets(t: float, epsilon: float) -> np.ndarray:
     return np.stack([ox[mask], oy[mask]], axis=1)
 
 
-def site_related(u, v, t: float, epsilon: float) -> bool:
-    """Whether some lattice site lies within t of both u and v.
-
-    u and v are integer site coordinates; the search scans the full t-ball
-    of u, so the relation holds exactly when the balls intersect on the
-    lattice (in particular always when u == v, never when ||u-v|| > 2t).
-    """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    rho2 = (t / epsilon) ** 2
-    m = math.isqrt(math.floor(rho2))
-    span = np.arange(-m, m + 1)
-    grids = np.meshgrid(*([span] * u.size), indexing="ij")
-    w = np.stack([g.ravel() for g in grids], axis=1) + u
-    near_u = np.sum((w - u) ** 2, axis=1) <= rho2
-    near_v = np.sum((w - v) ** 2, axis=1) <= rho2
-    return bool(np.any(near_u & near_v))
-
-
 @dataclass(frozen=True)
 class SiteField:
     """One sampled window of the coupled bit fields.

@@ -14,8 +14,10 @@ crosses, and on the B axis of the AB graph, with the A pattern fixed, T_B is
 the arrival time of the B point that completes the first crossing. The seed
 crosses at intensity lam (or mu) exactly when ``T <= lam * volume`` (``T_B <=
 mu * volume``), so every probe of a bisection or of a probe list is a float
-comparison against the stored times. Both times are bottleneck steps of one
-primitive, :func:`abperc.geomgraph.crossing_step`.
+comparison against the stored times. Seeds are swept in blocks, one pool task
+each: at each doubling level, one kernel call on the disjoint union of their
+graphs (:func:`abperc.geomgraph.crossing_steps`) answers the block's seeds not
+yet crossed. A seed's time does not depend on the seeds in its block.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ import numpy as np
 from .errors import EstimationError
 from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
-from .geomgraph import build_bipartite, build_unigraph, crossing_exists, crossing_step
+from .geomgraph import build_bipartite, build_unigraph, crossing_exists, crossing_steps
 
 DEFAULT_MU_MAX = 1.0e6
+# seeds swept together, one spanning-forest kernel call per doubling level
+_BLOCK = 8
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -83,79 +87,79 @@ class CriticalEstimate:
 def one_type_crossing_trial(seed: int, trial: int, lam: float, r: float, L: float,
                             d: int) -> bool:
     """Crossing indicator for the one-type graph at connection distance 2r."""
-    region = Region("box", L, d)
-    sampler = CoupledSampler(region, seed, "A", path=(trial,))
-    pattern = sampler.prefix(lam)
-    graph = build_unigraph(pattern, 2.0 * r)
-    return crossing_exists(graph)
+    pattern = CoupledSampler(Region("box", L, d), seed, "A", path=(trial,)).prefix(lam)
+    return crossing_exists(build_unigraph(pattern, 2.0 * r))
 
 
-def _sweep(sampler: CoupledSampler, start: float, top: float, crossing_count) -> float:
-    """Crossing time of the pattern that ``sampler`` couples across intensities.
+def _sweep(samplers, start: float, top: float, graph_of) -> list[float]:
+    """Crossing times of the patterns that ``samplers`` couple across intensities.
 
-    ``crossing_count(points, lam)`` takes the swept pattern at intensity lam
-    and returns the smallest k such that its first k points complete a
-    crossing, or None. Prefixes of the pattern at ``top`` are tried at
-    intensities doubling from ``min(start, top)`` until one crosses; a probe
-    sweep starts at s**-d, s its connection distance. The time is the k-th
-    event time (0 for k = 0) from any start: the crossing holds at intensity
-    lam exactly when ``time <= lam * volume``; inf if ``top`` does not cross.
+    ``graph_of(i, points, lam)`` returns the graph of pattern i with its
+    prefix ``points`` at intensity lam, and the arrival step of each vertex:
+    1 for fixed vertices, j + 2 for point j. Levels lam double from
+    ``min(start, top)`` to ``top``; a probe sweep starts at s**-d, s its
+    connection distance. A pattern's time is the event time of the last point
+    its first crossing needs (0 for none), the same from any start and in any
+    block: it crosses at lam exactly when ``time <= lam * volume``; inf if
+    ``top`` does not cross.
     """
-    points = sampler.prefix(top).points
+    points = [sampler.prefix(top).points for sampler in samplers]
+    times, pending = [math.inf] * len(samplers), list(range(len(samplers)))
     lam = min(start, top)
-    while True:
-        k = crossing_count(points[:sampler.count_at(lam)], lam)
-        if k is not None:
-            return sampler.event_time(k) if k else 0.0
-        if lam >= top:
-            return math.inf
+    while pending:
+        # the graphs are built one at a time, as crossing_steps consumes them
+        ks = crossing_steps(graph_of(i, points[i][:samplers[i].count_at(lam)], lam)
+                            for i in pending)
+        for i, k in zip(pending, ks):
+            if k is not None:
+                times[i] = samplers[i].event_time(k - 1) if k > 1 else 0.0
+        # a pattern not crossed at top keeps the time inf
+        pending = [i for i, k in zip(pending, ks) if k is None and lam < top]
         lam = min(2.0 * lam, top)
+    return times
 
 
-def one_type_crossing_time(seed: int, trial: int, start: float, top: float, r: float,
-                           L: float, d: int) -> float:
-    """Crossing time T of one trial: the indicator of
-    :func:`one_type_crossing_trial` at intensity lam is ``T <= lam * volume``
-    for every lam in [0, top]; T is inf when the pattern at ``top`` does not
-    cross. The sweep starts at ``start`` as in :func:`_sweep`.
+def one_type_crossing_times(seed: int, trials, start: float, top: float, r: float, L: float,
+                            d: int) -> list[float]:
+    """Crossing time T of each of ``trials``, swept from ``start`` as in
+    :func:`_sweep`: :func:`one_type_crossing_trial` at intensity lam is ``T <=
+    lam * volume`` for every lam in [0, top]; T is inf if ``top`` does not cross.
     """
     region = Region("box", L, d)
-    sampler = CoupledSampler(region, seed, "A", path=(trial,))
 
-    def crossing_count(points, lam):
+    def graph_of(i, points, lam):
         graph = build_unigraph(PointPattern(region, points, lam, seed), 2.0 * r)
-        # point i arrives at step i + 1
-        return crossing_step(graph, np.arange(1, len(points) + 1))
+        return graph, np.arange(2, len(points) + 2)
 
-    return _sweep(sampler, start, top, crossing_count)
+    samplers = [CoupledSampler(region, seed, "A", path=(t,)) for t in trials]
+    return _sweep(samplers, start, top, graph_of)
 
 
-def ab_crossing_time(seed: int, trial: int, lam: float, start: float, top: float, r: float,
-                     L: float, d: int) -> float:
-    """B crossing time T_B of one trial at A intensity lam: the indicator of
-    :func:`ab_crossing_trial` at B intensity mu is ``T_B <= mu * volume`` for
-    every mu in [0, top]; T_B is inf when the graph with the B pattern at
-    ``top`` does not cross. The sweep starts at ``start`` as in :func:`_sweep`.
+def ab_crossing_times(seed: int, trials, lam: float, start: float, top: float, r: float,
+                      L: float, d: int) -> list[float]:
+    """B crossing time T_B of each of ``trials`` at A intensity lam, swept from
+    ``start`` as in :func:`_sweep`: :func:`ab_crossing_trial` at B intensity mu
+    is ``T_B <= mu * volume`` for every mu in [0, top]; T_B is inf if the
+    graph with the B pattern at ``top`` does not cross.
     """
     region = Region("box", L, d)
-    X = CoupledSampler(region, seed, "A", path=(trial,)).prefix(lam)
-    sampler = CoupledSampler(region, seed, "B", path=(trial,))
+    Xs = [CoupledSampler(region, seed, "A", path=(t,)).prefix(lam) for t in trials]
 
-    def crossing_count(points, mu):
-        graph = build_bipartite(X, PointPattern(region, points, mu, seed), r)
-        # A points are present from step 1 and B point j arrives at step j + 2,
-        # so a crossing at step k needs the first k - 1 B points
-        steps = np.concatenate([np.ones(len(X), np.int64), np.arange(2, len(points) + 2)])
-        k = crossing_step(graph, steps)
-        return None if k is None else k - 1
+    def graph_of(i, points, mu):
+        # the A points are fixed, present from step 1
+        graph = build_bipartite(Xs[i], PointPattern(region, points, mu, seed), r)
+        return graph, np.concatenate([np.ones(len(Xs[i]), np.int64), np.arange(2, len(points) + 2)])
 
-    return _sweep(sampler, start, top, crossing_count)
+    samplers = [CoupledSampler(region, seed, "B", path=(t,)) for t in trials]
+    return _sweep(samplers, start, top, graph_of)
 
 
-def _crossing_times(start, top, r, L, trials, seed, d, jobs) -> list[float]:
-    """Per-seed crossing times of trials 0..trials-1, in one pass over the seeds."""
-    tasks = [(seed, t, start, top, r, L, d) for t in range(trials)]
-    return parallel_starmap(one_type_crossing_time, tasks, jobs)
+def _swept(sweep, seed: int, trials, jobs: int, *params) -> list[float]:
+    """Crossing times ``sweep(seed, block, *params)`` of ``trials``, in order, one
+    pool task per block of at most ``_BLOCK`` seeds, and ``jobs`` blocks or more."""
+    size = max(1, min(_BLOCK, -(-len(trials) // jobs)))
+    tasks = [(seed, trials[lo:lo + size], *params) for lo in range(0, len(trials), size)]
+    return [T for block in parallel_starmap(sweep, tasks, jobs) for T in block]
 
 
 def _crossings_at(times, lam: float, volume: float) -> list[bool]:
@@ -185,12 +189,9 @@ def ab_crossing_trial(seed: int, trial: int, lam: float, mu: float, r: float, L:
                       d: int) -> bool:
     """Crossing indicator for the bipartite graph at radius r."""
     region = Region("box", L, d)
-    sampler_a = CoupledSampler(region, seed, "A", path=(trial,))
-    sampler_b = CoupledSampler(region, seed, "B", path=(trial,))
-    X = sampler_a.prefix(lam)
-    Y = sampler_b.prefix(mu)
-    graph = build_bipartite(X, Y, r)
-    return crossing_exists(graph)
+    X = CoupledSampler(region, seed, "A", path=(trial,)).prefix(lam)
+    Y = CoupledSampler(region, seed, "B", path=(trial,)).prefix(mu)
+    return crossing_exists(build_bipartite(X, Y, r))
 
 
 def dense_b_limit_trial(seed: int, trial: int, lam: float, r: float, L: float,
@@ -251,8 +252,8 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
             _require_finite(lam=lam)
             if lam < 0:
                 raise ValueError("intensity must be nonnegative")
-        times = _crossing_times((2.0 * r)**-d, max(values, default=0.0), r, L, trials, seed,
-                                d, jobs)
+        times = _swept(one_type_crossing_times, seed, range(trials), jobs, (2.0 * r)**-d,
+                       max(values, default=0.0), r, L, d)
         counts = [(lam, sum(_crossings_at(times, lam, volume))) for lam in values]
     elif kind == "AB":
         pairs = []
@@ -265,8 +266,8 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
         times = {}
         for lam in dict.fromkeys(lam for lam, _ in pairs):
             mus = [mu for a, mu in pairs if a == lam]
-            tasks = [(seed, t, lam, r**-d, max(mus), r, L, d) for t in range(trials)]
-            times[lam] = parallel_starmap(ab_crossing_time, tasks, jobs)
+            times[lam] = _swept(ab_crossing_times, seed, range(trials), jobs, lam, r**-d,
+                                max(mus), r, L, d)
         counts = [(mu, sum(_crossings_at(times[lam], mu, volume))) for lam, mu in pairs]
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -300,7 +301,8 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
         raise ValueError("bracket must satisfy 0 <= low < high")
 
     # every probe lies in [low, high]
-    times = _crossing_times((2.0 * r)**-d, high, r, L, trials, seed, d, jobs)
+    times = _swept(one_type_crossing_times, seed, range(trials), jobs, (2.0 * r)**-d, high, r,
+                   L, d)
     volume = Region("box", L, d).volume
     probes = []
 
@@ -355,7 +357,7 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
             probes=probes)
 
     # the dense-B limit is one-type crossing of the A pattern at lam
-    limit_times = _crossing_times(lam, lam, r, L, trials, seed, d, jobs)
+    limit_times = _swept(one_type_crossing_times, seed, range(trials), jobs, lam, lam, r, L, d)
     if _log_probe(probes, math.inf, _crossings_at(limit_times, lam, volume)) < target:
         return result(math.inf, (math.inf, math.inf), no_percolation=True)
 
@@ -367,8 +369,8 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     def sweep_level(mu: float) -> None:
         # a seed with a finite time crossed at a lower level and keeps it
         pending = [t for t, T in enumerate(times) if T == math.inf]
-        tasks = [(seed, t, lam, mu, mu, r, L, d) for t in pending]
-        for t, T in zip(pending, parallel_starmap(ab_crossing_time, tasks, jobs)):
+        for t, T in zip(pending, _swept(ab_crossing_times, seed, pending, jobs, lam, mu, mu, r,
+                                        L, d)):
             times[t] = T
 
     low, high = 0.0, r**-d

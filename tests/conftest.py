@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from abperc import Graph, PointPattern, Region, build_bipartite, radius_for_sqdist
+from abperc.percolation import ab_crossing_times, one_type_crossing_times
 
 # property tests draw the same examples on every run, and a slow example on a
 # loaded machine is not reported as a deadline error
@@ -161,3 +162,34 @@ def _dense_g1_connected(d2, r):
             seen[j] = True
             stack.append(j)
     return bool(seen.all())
+
+
+def one_type_crossing_time(seed, trial, start, top, r, L, d):
+    """Crossing time of one trial, swept as a block of one seed."""
+    (T,) = one_type_crossing_times(seed, [trial], start, top, r, L, d)
+    return T
+
+
+def ab_crossing_time(seed, trial, lam, start, top, r, L, d):
+    """B crossing time of one trial, swept as a block of one seed."""
+    (T,) = ab_crossing_times(seed, [trial], lam, start, top, r, L, d)
+    return T
+
+
+def site_related(u, v, t: float, epsilon: float) -> bool:
+    """Whether some lattice site lies within t of both u and v.
+
+    u and v are integer site coordinates; the search scans the full t-ball
+    of u, so the relation holds exactly when the balls intersect on the
+    lattice (in particular always when u == v, never when ||u-v|| > 2t).
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    rho2 = (t / epsilon) ** 2
+    m = math.isqrt(math.floor(rho2))
+    span = np.arange(-m, m + 1)
+    grids = np.meshgrid(*([span] * u.size), indexing="ij")
+    w = np.stack([g.ravel() for g in grids], axis=1) + u
+    near_u = np.sum((w - u) ** 2, axis=1) <= rho2
+    near_v = np.sum((w - v) ** 2, axis=1) <= rho2
+    return bool(np.any(near_u & near_v))

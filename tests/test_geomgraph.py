@@ -13,7 +13,7 @@ from abperc import (
     build_unigraph,
     components,
     crossing_exists,
-    crossing_step,
+    crossing_steps,
     is_connected_g1,
     radius_for_sqdist,
 )
@@ -32,7 +32,8 @@ from conftest import (
 
 def prefix_length(X, s):
     """Smallest k whose first k points span the box at distance s."""
-    return crossing_step(build_unigraph(X, s), np.arange(1, len(X) + 1))
+    (k,) = crossing_steps([(build_unigraph(X, s), np.arange(1, len(X) + 1))])
+    return k
 
 
 class TestRadiusForSqdist:
@@ -317,23 +318,52 @@ class TestBottleneck:
     @given(data=st.data(), n=st.integers(1, 12), real=st.booleans())
     @settings(max_examples=300)
     def test_matches_sorted_union_find(self, data, n, real):
-        vertex = st.integers(0, n - 1)
-        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=20, unique=True))
-        weight = st.floats(1e-300, 1e300) if real else st.integers(1, 4)
-        weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
-        terminals = data.draw(st.lists(vertex, min_size=1, max_size=5))
-        u = np.array([a for a, _ in edges], dtype=np.int64)
-        v = np.array([b for _, b in edges], dtype=np.int64)
+        u, v, weights, terminals = random_weighted_graph(data, n, real)
         want = bottleneck_oracle(n, u.tolist(), v.tolist(), weights, terminals)
-        assert bottleneck(n, u, v, np.array(weights, dtype=float), terminals) == want
+        got = bottleneck(n, u, v, np.array(weights, dtype=float), [terminals])
+        assert got.tolist() == [math.inf if want is None else want]
 
     def test_empty_and_single_edge_graphs(self):
         none = np.empty(0, dtype=np.int64)
-        assert bottleneck(3, none, none, np.empty(0), [0, 2]) is None
-        assert bottleneck(3, none, none, np.empty(0), [1]) == 0
+        assert bottleneck(3, none, none, np.empty(0), [[0, 2]]).tolist() == [math.inf]
+        assert bottleneck(3, none, none, np.empty(0), [[1]]).tolist() == [0]
         one = np.array([2], dtype=np.int64)
-        assert bottleneck(3, np.array([0]), one, np.array([0.5]), [0, 2]) == 0.5
-        assert bottleneck(3, np.array([0]), one, np.array([0.5]), [0, 1]) is None
+        assert bottleneck(3, np.array([0]), one, np.array([0.5]), [[0, 2]]).tolist() == [0.5]
+        assert bottleneck(3, np.array([0]), one, np.array([0.5]), [[0, 1]]).tolist() == [math.inf]
+        assert bottleneck(3, np.array([0]), one, np.array([0.5]), [[0, 2], [1]]).tolist() == \
+            [0.5, 0]
+
+    # one call on the disjoint union answers each graph's group as if alone
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+           real=st.booleans())
+    @settings(max_examples=200)
+    def test_disjoint_union_matches_each_graph(self, data, sizes, real):
+        us, vs, ws, groups, want = [], [], [], [], []
+        offset = 0
+        for n in sizes:
+            u, v, weights, terminals = random_weighted_graph(data, n, real)
+            answer = bottleneck_oracle(n, u.tolist(), v.tolist(), weights, terminals)
+            want.append(math.inf if answer is None else answer)
+            us.append(u + offset)
+            vs.append(v + offset)
+            ws += weights
+            groups.append([t + offset for t in terminals])
+            offset += n
+        got = bottleneck(offset, np.concatenate(us), np.concatenate(vs),
+                         np.array(ws, dtype=float), groups)
+        assert got.tolist() == want
+
+
+def random_weighted_graph(data, n, real):
+    """(u, v, weights, terminals) on vertices 0..n-1, each (u, v) drawn at most once."""
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=20, unique=True))
+    weight = st.floats(1e-300, 1e300) if real else st.integers(1, 4)
+    weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    terminals = data.draw(st.lists(vertex, min_size=1, max_size=5))
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    return u, v, weights, terminals
 
 
 class TestCrossing:
@@ -444,8 +474,20 @@ class TestCrossing:
         everything = np.ones(n, dtype=bool)
         want = next((k for k in sorted(set(steps.tolist())) if crossing_exists(graph_of(
             (steps <= k)[:len(left)], (steps <= k)[len(left):]))), None)
-        assert crossing_step(graph_of(everything[:len(left)], everything[len(left):]),
-                             steps) == want
+        assert crossing_steps([(graph_of(everything[:len(left)], everything[len(left):]),
+                                steps)]) == [want]
+
+    def test_one_call_matches_each_graph_alone(self):
+        region = Region("box", 8.0, 2)
+        rng = np.random.default_rng(22)
+        pairs = []
+        for n in (0, 1, 40, 60, 80, 100):
+            X = PointPattern(region, rng.random((n, 2)) * 8.0, float(n), 0)
+            pairs.append((build_unigraph(X, 1.0), rng.integers(1, 30, size=n)))
+        alone = [crossing_steps([pair])[0] for pair in pairs]
+        assert crossing_steps(pairs) == alone
+        assert crossing_steps(pairs[::-1]) == alone[::-1]
+        assert any(k is None for k in alone) and any(k is not None for k in alone)
 
     def test_bipartite_crossing_uses_both_sides(self):
         region = Region("box", 8.0, 2)

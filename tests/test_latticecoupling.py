@@ -12,9 +12,9 @@ from abperc import (
     latticecoupling,
     q_coupling,
     sample_coupled_fields,
-    site_related,
 )
 from abperc.latticecoupling import ball_offsets
+from conftest import site_related
 
 
 class TestDiscretize:

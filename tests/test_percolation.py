@@ -14,12 +14,13 @@ from abperc import (
     wilson_interval,
 )
 from abperc.percolation import (
-    ab_crossing_time,
+    ab_crossing_times,
     ab_crossing_trial,
     dense_b_limit_trial,
-    one_type_crossing_time,
+    one_type_crossing_times,
     one_type_crossing_trial,
 )
+from conftest import ab_crossing_time, one_type_crossing_time
 
 
 class TestWilson:
@@ -207,6 +208,21 @@ class TestCrossingTime:
             ab_crossing_time(0, 0, 0.5, 1.0, 1e9, 1.0, 10.0, 2)
         with pytest.raises(ResourceLimitError):
             ab_crossing_time(0, 0, 1e9, 1.0, 1.0, 1.0, 10.0, 2)
+
+
+class TestBlockSweep:
+    """A seed's crossing time does not depend on the seeds swept in its block."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           trials=st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
+           L=st.sampled_from([4.0, 8.0, 12.0]), d=st.sampled_from([2, 3]),
+           lam=st.floats(0.02, 1.5), top=st.floats(0.05, 3.0), halvings=st.integers(0, 12))
+    def test_block_matches_blocks_of_one(self, seed, trials, L, d, lam, top, halvings):
+        start = top * 2.0**-halvings
+        assert one_type_crossing_times(seed, trials, start, top, 1.0, L, d) == \
+            [one_type_crossing_time(seed, t, start, top, 1.0, L, d) for t in trials]
+        assert ab_crossing_times(seed, trials, lam, start, top, 1.0, L, d) == \
+            [ab_crossing_time(seed, t, lam, start, top, 1.0, L, d) for t in trials]
 
 
 class TestPinnedProbeLogs:
