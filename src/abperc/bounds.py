@@ -198,10 +198,15 @@ def _log_inverse_gap(inputs: BoundInputs, alpha: float, exponent: float,
 
 def mu_bound_exact_delta(inputs: BoundInputs, alpha: float) -> float:
     """Exact-Delta bound eps^(-d) * Delta * log(1/(1 - ratio^(1/Delta)))."""
+    return _exact_delta(inputs, alpha)[1]
+
+
+def _exact_delta(inputs: BoundInputs, alpha: float) -> tuple[int, float]:
+    """(Delta, exact-Delta bound): a table of Delta enumerates the ball once."""
     eps = epsilon_of_alpha(inputs.r, inputs.delta, inputs.lambda_c, alpha, inputs.d)
     t = 0.5 * (inputs.r + s_of_alpha(inputs.r, inputs.delta, inputs.lambda_c, alpha, inputs.d))
     Delta = delta_count(t, eps, inputs.d)
-    return eps**-inputs.d * Delta * _log_inverse_gap(inputs, alpha, 1.0 / Delta, eps)
+    return Delta, eps**-inputs.d * Delta * _log_inverse_gap(inputs, alpha, 1.0 / Delta, eps)
 
 
 def mu_bound_relaxed(inputs: BoundInputs, alpha: float) -> float:
@@ -285,8 +290,7 @@ def mu_bound_optimized(inputs: BoundInputs) -> BoundReport:
         nu = lambda_c + alpha * delta
         relaxed = mu_bound_relaxed(inputs, alpha)
         try:
-            sites = delta_count(t, eps, d)
-            exact = eps**-d * sites * _log_inverse_gap(inputs, alpha, 1.0 / sites, eps)
+            sites, exact = _exact_delta(inputs, alpha)
         except ResourceLimitError:
             sites, exact = None, None
         rows.append(BoundRow(

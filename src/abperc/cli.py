@@ -169,7 +169,7 @@ def _run_sample(p, seed, jobs):
     region = Region(p["kind"], p["L"], p["d"])
     pattern = sample_poisson(region, p["intensity"], seed)
     header = ["index"] + [f"x{k + 1}" for k in range(region.dim)]
-    rows = [[i, *map(float, x)] for i, x in enumerate(pattern.points)]
+    rows = ([i, *map(float, x)] for i, x in enumerate(pattern.points))
     return {".csv": (header, rows)}, {"count": len(pattern)}
 
 
@@ -241,15 +241,15 @@ def _run_couple_test(p, seed, jobs):
     from scipy.stats import binomtest
 
     window = tuple(_parse_list(p["window"], int))
-    rows = []
-    header = None
+    header, rows = None, []
     pooled = {"T": [0, 0], "V": [0, 0], "W": [0, 0]}
     implication_ok = True
     for k in range(p["fields"]):
         fld = latticecoupling.sample_coupled_fields(
             window, p["epsilon"], p["t"], p["p_lambda"], p["p_nu"], seed, path=(k,))
+        # lazy rows that keep the site bits, not the U bits, of each field
         header, field_rows = latticecoupling.field_csv_rows(fld, k)
-        rows.extend(field_rows)
+        rows.append(field_rows)
         implication_ok &= latticecoupling.implication_holds(fld)
         for key, bits in (("T", fld.T), ("V", fld.V), ("W", fld.W[fld.interior])):
             pooled[key][0] += int(bits.sum())
@@ -259,7 +259,7 @@ def _run_couple_test(p, seed, jobs):
                 "W": bounds.q_coupling(p["p_nu"], p["p_lambda"], Delta)}
     pvalues = {key: binomtest(pooled[key][0], pooled[key][1], expected[key]).pvalue
                for key in pooled}
-    return {".csv": (header, rows)}, {
+    return {".csv": (header, (row for field_rows in rows for row in field_rows))}, {
         "delta_sites": Delta,
         "expected_marginals": expected,
         "pooled_counts": pooled,

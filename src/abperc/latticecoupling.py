@@ -111,7 +111,8 @@ def sample_coupled_fields(window, epsilon: float, t: float, p_lambda: float,
     rng = derived_rng(seed, *path)
     u_param = (p_nu / p_lambda) ** (1.0 / Delta)
     T = rng.random(window) < p_lambda
-    U = rng.random((Delta, *window)) < u_param
+    # the same stream drawn one offset plane at a time, so one plane of floats
+    U = np.stack([rng.random(window) < u_param for _ in range(Delta)])
     V = T & U.all(axis=0)
     W = np.zeros(window, dtype=bool)
     for j, (ox, oy) in enumerate(offsets):
@@ -157,13 +158,9 @@ def implication_holds(field: SiteField) -> bool:
 
 
 def field_csv_rows(field: SiteField, field_index: int = 0):
-    """Site dump rows: field, u1, u2, T, V, W, interior."""
+    """Site dump rows: field, u1, u2, T, V, W, interior, yielded lazily from
+    one byte per site and column (the U bits of ``field`` are not kept)."""
     header = ["field", "u1", "u2", "T", "V", "W", "interior"]
-    nx, ny = field.window
-    rows = []
-    for ix in range(nx):
-        for iy in range(ny):
-            rows.append([field_index, ix, iy, int(field.T[ix, iy]),
-                         int(field.V[ix, iy]), int(field.W[ix, iy]),
-                         int(field.interior[ix, iy])])
-    return header, rows
+    bits = np.stack([field.T, field.V, field.W, field.interior], axis=-1).astype(np.uint8)
+    return header, ([field_index, ix, iy, *site] for ix in range(bits.shape[0])
+                    for iy, site in enumerate(bits[ix].tolist()))

@@ -12,18 +12,21 @@ continuum). Each seed is swept for its crossing time: on the one-type axis T
 is the arrival time of the A point with which the coupled pattern first
 crosses, and on the B axis of the AB graph, with the A pattern fixed, T_B is
 the arrival time of the B point that completes the first crossing. The seed
-crosses at intensity lam (or mu) exactly when ``T <= lam * volume`` (``T_B <=
-mu * volume``), so every probe of a bisection or of a probe list is a float
-comparison against the stored times. Seeds are swept in blocks, one pool task
-each: at each doubling level, one kernel call on the disjoint union of their
-graphs (:func:`abperc.geomgraph.crossing_steps`) answers the block's seeds not
-yet crossed. A seed's time does not depend on the seeds in its block.
+crosses at intensity v exactly when ``T <= v * volume``, so every estimate is
+a view of one float64 array of per-seed times: each probe, of a probe list or
+of a bisection, counts that comparison (:func:`_probe`). The B levels of
+:func:`estimate_mu_c` double up to ``mu_max``, which is itself probed before
+no percolation is reported. Seeds are swept in blocks, one pool task each: at
+each doubling level, one kernel call on the disjoint union of their graphs
+(:func:`abperc.geomgraph.crossing_steps`) answers the block's seeds not yet
+crossed. A seed's time does not depend on the seeds in its block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -154,34 +157,27 @@ def ab_crossing_times(seed: int, trials, lam: float, start: float, top: float, r
     return _sweep(samplers, start, top, graph_of)
 
 
-def _swept(sweep, seed: int, trials, jobs: int, *params) -> list[float]:
+def _swept(sweep, seed: int, trials, jobs: int, *params) -> np.ndarray:
     """Crossing times ``sweep(seed, block, *params)`` of ``trials``, in order, one
     pool task per block of at most ``_BLOCK`` seeds, and ``jobs`` blocks or more."""
     size = max(1, min(_BLOCK, -(-len(trials) // jobs)))
     tasks = [(seed, trials[lo:lo + size], *params) for lo in range(0, len(trials), size)]
-    return [T for block in parallel_starmap(sweep, tasks, jobs) for T in block]
+    return np.array([T for block in parallel_starmap(sweep, tasks, jobs) for T in block], float)
 
 
-def _crossings_at(times, lam: float, volume: float) -> list[bool]:
-    t = lam * volume
-    return [T <= t for T in times]
-
-
-def _log_probe(probes: list, value: float, flags) -> float:
-    """Append the estimate from per-seed crossing ``flags`` at ``value``; returns it."""
-    succ, trials = sum(flags), len(flags)
-    probes.append(ProbeResult(value, succ, trials, *wilson_interval(succ, trials)))
-    return succ / trials
+def _probe(probes: list, times: np.ndarray, volume: float, value: float, at=None) -> float:
+    """Log the estimate at ``value`` from the seeds with ``T <= at * volume`` (``at``
+    is ``value`` unless given); returns it."""
+    succ = int(np.count_nonzero(times <= (value if at is None else at) * volume))
+    probes.append(ProbeResult(value, succ, len(times), *wilson_interval(succ, len(times))))
+    return succ / len(times)
 
 
 def _bisect(low: float, high: float, tol: float, target: float, probe) -> tuple:
     """Halve [low, high] to width <= tol, keeping ``probe(low) < target <= probe(high)``."""
     while high - low > tol:
         mid = 0.5 * (low + high)
-        if probe(mid) >= target:
-            high = mid
-        else:
-            low = mid
+        low, high = (low, mid) if probe(mid) >= target else (mid, high)
     return low, high
 
 
@@ -228,10 +224,13 @@ def _validate_geometry(r: float, L: float, trials: int, d: int) -> None:
         raise ValueError("at least one trial is required")
 
 
-def _validate_target(target: float) -> None:
+def _validate_bisection(tol: float, target: float) -> None:
+    _require_finite(tol=tol, target=target)
     # a crossing probability above 1 is never reached, whatever the intensity
     if not 0 < target <= 1:
         raise ValueError(f"target crossing probability must lie in (0, 1], got {target!r}")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
 
 
 def crossing_probability(kind: str, intensities, r: float, L: float, trials: int,
@@ -240,39 +239,32 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
 
     ``kind`` is "one-type" (intensities are lambda values, graph distance 2r)
     or "AB" (intensities are (lambda, mu) pairs, graph radius r; the probe
-    value of each result records the B intensity). Each seed is swept once
-    per distinct lambda on the AB axis, and once in all on the one-type axis,
-    from the unit intensity of the connection distance as in :func:`_sweep`.
+    value of each result records the B intensity). Each query is keyed by its
+    lambda (None on the one-type axis), and the seeds are swept once per key,
+    from the unit intensity of the connection distance to the key's highest value.
     """
     _validate_geometry(r, L, trials, d)
-    volume = Region("box", L, d).volume
     if kind == "one-type":
-        values = [float(v) for v in intensities]
-        for lam in values:
-            _require_finite(lam=lam)
-            if lam < 0:
-                raise ValueError("intensity must be nonnegative")
-        times = _swept(one_type_crossing_times, seed, range(trials), jobs, (2.0 * r)**-d,
-                       max(values, default=0.0), r, L, d)
-        counts = [(lam, sum(_crossings_at(times, lam, volume))) for lam in values]
+        queries = [(None, float(lam)) for lam in intensities]
     elif kind == "AB":
-        pairs = []
-        for value in intensities:
-            lam, mu = (float(v) for v in value)
-            _require_finite(lam=lam, mu=mu)
-            if lam < 0 or mu < 0:
-                raise ValueError("intensities must be nonnegative")
-            pairs.append((lam, mu))
-        times = {}
-        for lam in dict.fromkeys(lam for lam, _ in pairs):
-            mus = [mu for a, mu in pairs if a == lam]
-            times[lam] = _swept(ab_crossing_times, seed, range(trials), jobs, lam, r**-d,
-                                max(mus), r, L, d)
-        counts = [(mu, sum(_crossings_at(times[lam], mu, volume))) for lam, mu in pairs]
+        queries = [(float(lam), float(mu)) for lam, mu in intensities]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return [ProbeResult(value, succ, trials, *wilson_interval(succ, trials))
-            for value, succ in counts]
+    for value in [v for query in queries for v in query if v is not None]:
+        _require_finite(intensity=value)
+        if value < 0:
+            raise ValueError("intensities must be nonnegative")
+    volume = Region("box", L, d).volume
+    times = {}
+    for lam in dict.fromkeys(lam for lam, _ in queries):
+        top = max(value for key, value in queries if key == lam)
+        sweep, *args = ((one_type_crossing_times, (2.0 * r)**-d) if lam is None
+                        else (ab_crossing_times, lam, r**-d))
+        times[lam] = _swept(sweep, seed, range(trials), jobs, *args, top, r, L, d)
+    probes = []
+    for lam, value in queries:
+        _probe(probes, times[lam], volume, value)
+    return probes
 
 
 def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
@@ -285,10 +277,7 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
     most ``tol``. The estimate is the bracket midpoint.
     """
     _validate_geometry(r, L, trials, d)
-    _require_finite(tol=tol, target=target)
-    _validate_target(target)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _validate_bisection(tol, target)
     if bracket is None:
         bracket = (0.01 / r**d, 2.0 / r**d)
         if math.isinf(bracket[1]):
@@ -303,14 +292,9 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
     # every probe lies in [low, high]
     times = _swept(one_type_crossing_times, seed, range(trials), jobs, (2.0 * r)**-d, high, r,
                    L, d)
-    volume = Region("box", L, d).volume
     probes = []
-
-    def probe(lam: float) -> float:
-        return _log_probe(probes, lam, _crossings_at(times, lam, volume))
-
-    p_low = probe(low)
-    p_high = probe(high)
+    probe = partial(_probe, probes, times, Region("box", L, d).volume)
+    p_low, p_high = probe(low), probe(high)
     if p_low >= target or p_high < target:
         raise EstimationError(
             f"initial bracket does not straddle the target: p({low:g})={p_low:.3f}, "
@@ -332,19 +316,17 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     crossing probability a "no percolation detected" estimate is returned
     without probing enormous B intensities (consistent with an infinite
     critical value below the one-type critical intensity). Otherwise the
-    upper probe doubles from r^-d until success, then bisection runs to
-    ``tol``. At each doubling level only the seeds not yet crossed are swept
-    for their B crossing time, so every probe is ``T_B <= mu * volume``.
+    upper probe doubles from r^-d, clamped to ``mu_max``, until success, then
+    bisection runs to ``tol``; no percolation is reported once ``mu_max``
+    fails. Each level sweeps only the seeds whose B time is still inf.
     """
     _validate_geometry(r, L, trials, d)
-    _require_finite(lam=lam, tol=tol, target=target)
-    _validate_target(target)
+    _require_finite(lam=lam)
+    _validate_bisection(tol, target)
     if lam <= 0:
         raise ValueError("A intensity must be positive")
     if not mu_max > 0:
         raise ValueError(f"mu_max must be positive, got {mu_max!r}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
 
     volume = Region("box", L, d).volume
     probes = []
@@ -358,28 +340,20 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
 
     # the dense-B limit is one-type crossing of the A pattern at lam
     limit_times = _swept(one_type_crossing_times, seed, range(trials), jobs, lam, lam, r, L, d)
-    if _log_probe(probes, math.inf, _crossings_at(limit_times, lam, volume)) < target:
+    if _probe(probes, limit_times, volume, math.inf, at=lam) < target:
         return result(math.inf, (math.inf, math.inf), no_percolation=True)
 
-    times = [math.inf] * trials
-
-    def probe(mu: float) -> float:
-        return _log_probe(probes, mu, _crossings_at(times, mu, volume))
-
-    def sweep_level(mu: float) -> None:
+    times = np.full(trials, math.inf)
+    probe = partial(_probe, probes, times, volume)
+    low, high = 0.0, min(r**-d, mu_max)
+    while True:
         # a seed with a finite time crossed at a lower level and keeps it
-        pending = [t for t, T in enumerate(times) if T == math.inf]
-        for t, T in zip(pending, _swept(ab_crossing_times, seed, pending, jobs, lam, mu, mu, r,
-                                        L, d)):
-            times[t] = T
-
-    low, high = 0.0, r**-d
-    sweep_level(high)
-    while probe(high) < target:
-        low = high
-        high *= 2.0
-        if high > mu_max:
-            return result(math.inf, (low, math.inf), no_percolation=True)
-        sweep_level(high)
+        pending = np.flatnonzero(times == math.inf)
+        times[pending] = _swept(ab_crossing_times, seed, pending, jobs, lam, high, high, r, L, d)
+        if probe(high) >= target:
+            break
+        if high == mu_max:
+            return result(math.inf, (high, math.inf), no_percolation=True)
+        low, high = high, min(2.0 * high, mu_max)
     low, high = _bisect(low, high, tol, target, probe)
     return result(0.5 * (low + high), (low, high))

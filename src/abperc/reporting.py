@@ -20,12 +20,13 @@ def fmt_value(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows with '.' decimal separator and 17 significant digits."""
+    """Write rows with '.' decimal separator and 17 significant digits, one
+    line at a time: ``rows`` may be lazy, and the text is never held whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt_value(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(fmt_value(v) for v in row) + "\n" for row in rows)
 
 
 def write_summary(path, payload: dict) -> None:

@@ -1,9 +1,15 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abperc
 from abperc import CoupledSampler, Region, latticecoupling, sample_poisson
 from abperc.cli import ExperimentConfig, build_parser, config_from_args, main, run
 from abperc.reporting import TIMESTAMP_KEY
@@ -324,3 +330,49 @@ class TestReproducibility:
         assert isinstance(config, ExperimentConfig)
         assert run(config) == 0
         assert (tmp_path / "direct.csv").exists()
+
+
+def _traced_peak(argv) -> int:
+    """Peak bytes that Python and numpy allocate while the CLI runs ``argv``."""
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Data rows are formatted and written one at a time, so a run's memory
+    does not grow with the text of its CSV (about 300 bytes a row when every
+    row was held as a list and a line)."""
+
+    def test_sample_streams_its_rows(self, tmp_path):
+        argv = ["sample", "--intensity", "100000", "--seed", "1", "--out", str(tmp_path / "s")]
+        peak = _traced_peak(argv)
+        count = json.loads((tmp_path / "s.summary.json").read_text())["count"]
+        # the sampled coordinates and their scaled copy: 32 bytes a point
+        assert peak < 64 * count
+
+    def test_couple_test_streams_its_rows(self, tmp_path):
+        import scipy.stats  # noqa: F401  (imported by the run; not counted against it)
+
+        argv = ["couple-test", "--window", "200,200", "--epsilon", "1", "--t", "1",
+                "--p-lambda", "0.6", "--p-nu", "0.3", "--fields", "2",
+                "--out", str(tmp_path / "c")]
+        peak = _traced_peak(argv)
+        sites = 2 * 200 * 200
+        assert len((tmp_path / "c.csv").read_text().splitlines()) == sites + 1
+        # per field: one plane of uniform floats at a time, the T, U, V and W
+        # bits, and the four site bits each field keeps for its rows
+        assert peak < 32 * sites
+
+
+def test_cli_import_loads_no_spatial_index():
+    # scipy.spatial is imported where a graph is built, not at CLI start-up,
+    # which a run pays for in time and memory whatever its subcommand
+    code = "import sys, abperc.cli; print('scipy.spatial' in sys.modules)"
+    src = str(Path(abperc.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

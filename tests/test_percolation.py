@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from abperc import (
@@ -155,6 +155,23 @@ class TestEstimateMuC:
         with pytest.raises(ValueError):
             estimate_mu_c(r=1.0, lam=0.0, L=12.0, trials=10, tol=0.5, seed=0)
 
+    def test_first_level_clamped_to_mu_max(self):
+        # the first level r**-d = 1 lies above mu_max, and it was probed once
+        est = estimate_mu_c(1.0, 1.5, 10.0, 60, 0.05, 3, mu_max=0.8)
+        assert not est.no_percolation
+        assert max(p.value for p in est.probes[1:]) == 0.8
+        assert est.bracket[1] <= 0.8
+
+    def test_no_percolation_only_after_mu_max_fails(self):
+        est = estimate_mu_c(1.0, 1.5, 10.0, 60, 0.05, 3, mu_max=0.5)
+        assert est.no_percolation
+        assert [p.value for p in est.probes] == [math.inf, 0.5]
+        assert est.bracket == (0.5, math.inf)
+        # mu_max between two levels is probed after the last level below it
+        est = estimate_mu_c(1.0, 0.5, 10.0, 60, 0.05, 3, mu_max=3.0)
+        assert [p.value for p in est.probes] == [math.inf, 1.0, 2.0, 3.0]
+        assert est.no_percolation and est.bracket == (3.0, math.inf)
+
 
 class TestCrossingTime:
     """The stored crossing time reproduces the direct per-probe indicator."""
@@ -223,6 +240,46 @@ class TestBlockSweep:
             [one_type_crossing_time(seed, t, start, top, 1.0, L, d) for t in trials]
         assert ab_crossing_times(seed, trials, lam, start, top, 1.0, L, d) == \
             [ab_crossing_time(seed, t, lam, start, top, 1.0, L, d) for t in trials]
+
+
+class TestEstimatorsMatchTrials:
+    """Every probe an estimator logs is the count of its direct per-trial
+    indicator over the trials: a crossing-time view must not drift from the
+    event it stands for."""
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 8),
+           L=st.sampled_from([4.0, 6.0, 8.0]), d=st.sampled_from([2, 3]),
+           target=st.sampled_from([0.25, 0.5, 0.75]))
+    def test_lambda_c_probes(self, seed, trials, L, d, target):
+        # nothing crosses at 0; the high end is about 3.5 lambda_c in d=2 and
+        # 5 lambda_c in d=3, so the bisection probes both sides of lambda_c
+        high = 1.25 if d == 2 else 0.4
+        try:
+            est = estimate_lambda_c(1.0, L, trials, high / 32, seed, d=d, bracket=(0.0, high),
+                                    target=target)
+        except EstimationError:
+            reject()
+        for p in est.probes:
+            assert p.trials == trials
+            assert p.successes == sum(one_type_crossing_trial(seed, t, p.value, 1.0, L, d)
+                                      for t in range(trials))
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 8),
+           L=st.sampled_from([4.0, 6.0, 8.0]), lam=st.floats(0.2, 1.5),
+           mu_max=st.sampled_from([0.6, 2.5, 16.0]))
+    def test_mu_c_probes(self, seed, trials, L, lam, mu_max):
+        est = estimate_mu_c(1.0, lam, L, trials, 0.1, seed, mu_max=mu_max)
+        assert est.probes[0].value == math.inf
+        for p in est.probes:
+            if p.value == math.inf:
+                want = sum(dense_b_limit_trial(seed, t, lam, 1.0, L, 2) for t in range(trials))
+            else:
+                assert p.value <= mu_max
+                want = sum(ab_crossing_trial(seed, t, lam, p.value, 1.0, L, 2)
+                           for t in range(trials))
+            assert p.successes == want
 
 
 class TestPinnedProbeLogs:
