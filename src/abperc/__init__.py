@@ -41,7 +41,6 @@ from .geomgraph import (
 )
 from .latticecoupling import (
     SiteField,
-    discretize,
     implication_holds,
     sample_coupled_fields,
 )

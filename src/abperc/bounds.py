@@ -252,7 +252,6 @@ class BoundRow:
 class BoundReport:
     """Per-alpha table plus the optimized bound and the divergence prefactor."""
 
-    inputs: BoundInputs
     rows: list
     alpha_opt: float
     mu_hat: float
@@ -301,6 +300,6 @@ def mu_bound_optimized(inputs: BoundInputs) -> BoundReport:
     best = min(rows, key=lambda row: row.mu_relaxed)
     exact_values = [row.mu_exact_delta for row in rows if row.mu_exact_delta is not None]
     return BoundReport(
-        inputs=inputs, rows=rows, alpha_opt=best.alpha, mu_hat=best.mu_relaxed,
+        rows=rows, alpha_opt=best.alpha, mu_hat=best.mu_relaxed,
         mu_hat_exact=min(exact_values) if exact_values else None,
         constant=asymptotic_constant(r, lambda_c, d))

@@ -44,7 +44,6 @@ class ThresholdSample:
     trial: int
     rho: float
     statistic: float
-    seed: int
 
 
 def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = None) -> float:
@@ -186,7 +185,7 @@ def threshold_trial(master_seed: int, tau_index: int, tau: float, trial: int,
         X = sampler_a.prefix(n)
         Y = sampler_b.prefix(tau * n)
         rho = rho_threshold(X, Y)
-        rows.append(ThresholdSample(n, tau, trial, rho, lln_statistic(n, rho), master_seed))
+        rows.append(ThresholdSample(n, tau, trial, rho, lln_statistic(n, rho)))
     return rows
 
 

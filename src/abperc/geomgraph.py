@@ -15,9 +15,13 @@ numbered into one disjoint union.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+# csgraph loads scipy's OpenBLAS, whose idle worker threads spin for about 0.25 s
+# of CPU; nothing here calls BLAS, so one thread unless the caller chose a number
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
@@ -162,25 +166,23 @@ def is_connected_g1(X: PointPattern, Y: PointPattern, r: float) -> bool:
     return bool(np.all(left == left[0]))
 
 
-def _margin_vertices(graph: Graph, margin: float | None):
-    """Indices of the vertices within ``margin`` of the low and of the high face
-    of the first axis."""
+def _margin_vertices(graph: Graph):
+    """Indices of the vertices within the connection radius of the low and of
+    the high face of the first axis."""
     if graph.region.kind != "box":
         raise ValueError("crossing is undefined on a torus")
-    if margin is None:
-        margin = graph.radius
-    coords = graph.points[:, 0]
+    coords, margin = graph.points[:, 0], graph.radius
     return np.flatnonzero(coords <= margin), np.flatnonzero(coords >= graph.region.side - margin)
 
 
-def crossing_exists(graph: Graph, margin: float | None = None) -> bool:
+def crossing_exists(graph: Graph) -> bool:
     """Whether some component spans the box along the first axis.
 
     A component spans when it holds a vertex with coordinate <= margin and
-    one with coordinate >= side - margin; the margin defaults to the graph's
+    one with coordinate >= side - margin, the margin being the graph's
     connection radius. Undefined (and rejected) on a torus.
     """
-    low, high = _margin_vertices(graph, margin)
+    low, high = _margin_vertices(graph)
     if low.size == 0 or high.size == 0:
         return False
     labels, _ = components(graph)
@@ -232,7 +234,7 @@ def crossing_steps(graphs_and_steps) -> list:
 
     Takes (graph, steps) pairs: vertex v arrives at step ``steps[v]`` (an
     integer array, values >= 1). Spanning at step k is the event of
-    :func:`crossing_exists` (default margin) on the subgraph of the vertices
+    :func:`crossing_exists` on the subgraph of the vertices
     with ``steps <= k``, so it is monotone in k. An edge, and the link of a
     margin vertex to a super source (low face) or super sink (high face), is
     present from the later arrival of its ends; k is the bottleneck between
@@ -241,7 +243,7 @@ def crossing_steps(graphs_and_steps) -> list:
     parts, groups = [], []
     offset = 0
     for graph, arrive in graphs_and_steps:
-        low, high = _margin_vertices(graph, None)
+        low, high = _margin_vertices(graph)
         nv, u, v = graph.n_vertices, graph.edges_u, graph.edges_v
         # the graph's edges, then the links of its source nv and sink nv + 1,
         # numbered into the union as int32, which keeps the kernel's copies small

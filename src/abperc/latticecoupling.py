@@ -1,47 +1,27 @@
-"""Executable form of the lattice discretization and its coupled bit fields.
+"""The coupled lattice bit fields of the discretization.
 
-Point patterns are projected onto occupied cells of a lattice with spacing
-epsilon. On a finite window of sites the coupled construction draws one
-Bernoulli bit T per site and one bit U per directed site pair within range t,
-then assembles V (a site keeps its T bit only if every outgoing U bit is set)
-and W (a site is hit if any incoming U bit is set). V sites are independent
-Bernoulli with the smaller occupancy parameter; W sites are independent of
-the T field and carry the coupled parameter q.
+On a finite window of a lattice with spacing epsilon, the coupled construction
+draws one Bernoulli bit T per site and one bit U per directed site pair within
+range t, then assembles V (a site keeps its T bit only if every outgoing U bit
+is set) and W (a site is hit if any incoming U bit is set). U is folded into V
+and W one offset plane at a time, as it is drawn, so no field holds it. V sites
+are independent Bernoulli with the smaller occupancy parameter; W sites are
+independent of the T field and carry the coupled parameter q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import delta_count
 from .errors import ResourceLimitError
-from .pointprocess import PointPattern
 from .seeding import derived_rng
 
 # total U-bit budget: Delta * window sites
 MAX_FIELD_BITS = 200_000_000
-
-
-class DiscretizedSites(NamedTuple):
-    sites: np.ndarray        # unique integer site coordinates, lexicographically sorted
-    truncated: bool          # True when epsilon does not tile the region side
-
-
-def discretize(pattern: PointPattern, epsilon: float) -> DiscretizedSites:
-    """Occupied lattice sites: z is occupied iff some point lies in
-    z*eps + [0, eps)^d (half-open cell convention)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    cells_per_axis = pattern.region.side / epsilon
-    truncated = abs(cells_per_axis - round(cells_per_axis)) > 1e-9
-    if len(pattern) == 0:
-        return DiscretizedSites(np.empty((0, pattern.region.dim), dtype=np.int64), truncated)
-    sites = np.unique(np.floor(pattern.points / epsilon).astype(np.int64), axis=0)
-    return DiscretizedSites(sites, truncated)
 
 
 def ball_offsets(t: float, epsilon: float) -> np.ndarray:
@@ -60,23 +40,16 @@ def ball_offsets(t: float, epsilon: float) -> np.ndarray:
 class SiteField:
     """One sampled window of the coupled bit fields.
 
-    U bits are indexed by (offset j, source site u) and stand for the
-    directed pair (u, u + offset_j); opposite directions carry independent
-    bits. W is assembled from in-window sources only, so sites within the
-    ball radius of the boundary see a truncated product and are excluded
-    from the interior mask used for marginal statistics.
+    The U bit of offset j at source site u stands for the directed pair
+    (u, u + offset_j); opposite directions carry independent bits. W is
+    assembled from in-window sources only, so sites within the ball radius of
+    the boundary see a truncated product and are excluded from the interior
+    mask used for marginal statistics.
     """
 
     window: tuple
-    epsilon: float
-    t: float
-    p_lambda: float
-    p_nu: float
-    seed: int
     offsets: np.ndarray
-    delta_sites: int
     T: np.ndarray
-    U: np.ndarray
     V: np.ndarray
     W: np.ndarray
     interior: np.ndarray
@@ -111,21 +84,18 @@ def sample_coupled_fields(window, epsilon: float, t: float, p_lambda: float,
     rng = derived_rng(seed, *path)
     u_param = (p_nu / p_lambda) ** (1.0 / Delta)
     T = rng.random(window) < p_lambda
-    # the same stream drawn one offset plane at a time, so one plane of floats
-    U = np.stack([rng.random(window) < u_param for _ in range(Delta)])
-    V = T & U.all(axis=0)
-    W = np.zeros(window, dtype=bool)
-    for j, (ox, oy) in enumerate(offsets):
-        src = _shifted_view(U[j], ox, oy)
+    V, W = T.copy(), np.zeros(window, dtype=bool)
+    # U is drawn plane by plane, in stream order, and folded in at once
+    for ox, oy in offsets:
+        U = rng.random(window) < u_param
+        V &= U
+        src = _shifted_view(U, ox, oy)
         if src is not None:
             dst_slice, src_slice = src
-            W[dst_slice] |= U[j][src_slice]
+            W[dst_slice] |= U[src_slice]
     interior = np.zeros(window, dtype=bool)
     interior[margin:window[0] - margin, margin:window[1] - margin] = True
-    return SiteField(window=window, epsilon=float(epsilon), t=float(t),
-                     p_lambda=float(p_lambda), p_nu=float(p_nu), seed=int(seed),
-                     offsets=offsets, delta_sites=Delta, T=T, U=U, V=V, W=W,
-                     interior=interior)
+    return SiteField(window=window, offsets=offsets, T=T, V=V, W=W, interior=interior)
 
 
 def _shifted_view(plane, ox, oy):
@@ -159,7 +129,7 @@ def implication_holds(field: SiteField) -> bool:
 
 def field_csv_rows(field: SiteField, field_index: int = 0):
     """Site dump rows: field, u1, u2, T, V, W, interior, yielded lazily from
-    one byte per site and column (the U bits of ``field`` are not kept)."""
+    one byte per site and column."""
     header = ["field", "u1", "u2", "T", "V", "W", "interior"]
     bits = np.stack([field.T, field.V, field.W, field.interior], axis=-1).astype(np.uint8)
     return header, ([field_index, ix, iy, *site] for ix in range(bits.shape[0])

@@ -38,15 +38,16 @@ from .geomgraph import build_bipartite, build_unigraph, crossing_exists, crossin
 DEFAULT_MU_MAX = 1.0e6
 # seeds swept together, one spanning-forest kernel call per doubling level
 _BLOCK = 8
+_Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    phat = successes / trials
+    z, phat = _Z95, successes / trials
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
@@ -97,8 +98,8 @@ def one_type_crossing_trial(seed: int, trial: int, lam: float, r: float, L: floa
 def _sweep(samplers, start: float, top: float, graph_of) -> list[float]:
     """Crossing times of the patterns that ``samplers`` couple across intensities.
 
-    ``graph_of(i, points, lam)`` returns the graph of pattern i with its
-    prefix ``points`` at intensity lam, and the arrival step of each vertex:
+    ``graph_of(i, points)`` returns the graph of pattern i with its prefix
+    ``points`` at the level's intensity, and the arrival step of each vertex:
     1 for fixed vertices, j + 2 for point j. Levels lam double from
     ``min(start, top)`` to ``top``; a probe sweep starts at s**-d, s its
     connection distance. A pattern's time is the event time of the last point
@@ -111,7 +112,7 @@ def _sweep(samplers, start: float, top: float, graph_of) -> list[float]:
     lam = min(start, top)
     while pending:
         # the graphs are built one at a time, as crossing_steps consumes them
-        ks = crossing_steps(graph_of(i, points[i][:samplers[i].count_at(lam)], lam)
+        ks = crossing_steps(graph_of(i, points[i][:samplers[i].count_at(lam)])
                             for i in pending)
         for i, k in zip(pending, ks):
             if k is not None:
@@ -130,8 +131,8 @@ def one_type_crossing_times(seed: int, trials, start: float, top: float, r: floa
     """
     region = Region("box", L, d)
 
-    def graph_of(i, points, lam):
-        graph = build_unigraph(PointPattern(region, points, lam, seed), 2.0 * r)
+    def graph_of(i, points):
+        graph = build_unigraph(PointPattern(region, points), 2.0 * r)
         return graph, np.arange(2, len(points) + 2)
 
     samplers = [CoupledSampler(region, seed, "A", path=(t,)) for t in trials]
@@ -148,9 +149,9 @@ def ab_crossing_times(seed: int, trials, lam: float, start: float, top: float, r
     region = Region("box", L, d)
     Xs = [CoupledSampler(region, seed, "A", path=(t,)).prefix(lam) for t in trials]
 
-    def graph_of(i, points, mu):
+    def graph_of(i, points):
         # the A points are fixed, present from step 1
-        graph = build_bipartite(Xs[i], PointPattern(region, points, mu, seed), r)
+        graph = build_bipartite(Xs[i], PointPattern(region, points), r)
         return graph, np.concatenate([np.ones(len(Xs[i]), np.int64), np.arange(2, len(points) + 2)])
 
     samplers = [CoupledSampler(region, seed, "B", path=(t,)) for t in trials]
@@ -318,7 +319,7 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     critical value below the one-type critical intensity). Otherwise the
     upper probe doubles from r^-d, clamped to ``mu_max``, until success, then
     bisection runs to ``tol``; no percolation is reported once ``mu_max``
-    fails. Each level sweeps only the seeds whose B time is still inf.
+    fails. Each level sweeps only the seeds still at inf whose dense-B limit crosses.
     """
     _validate_geometry(r, L, trials, d)
     _require_finite(lam=lam)
@@ -347,8 +348,9 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     probe = partial(_probe, probes, times, volume)
     low, high = 0.0, min(r**-d, mu_max)
     while True:
-        # a seed with a finite time crossed at a lower level and keeps it
-        pending = np.flatnonzero(times == math.inf)
+        # a seed with a finite time crossed at a lower level and keeps it; one
+        # whose dense-B limit does not cross at lam crosses at no finite mu
+        pending = np.flatnonzero((times == math.inf) & (limit_times < math.inf))
         times[pending] = _swept(ab_crossing_times, seed, pending, jobs, lam, high, high, r, L, d)
         if probe(high) >= target:
             break

@@ -67,7 +67,7 @@ class Region:
 
 @dataclass(frozen=True)
 class PointPattern:
-    """Finite point set with the intensity/seed metadata that produced it.
+    """Finite point set in a region.
 
     Coordinates lie in [0, side)^dim of ``region``. Immutable after creation
     and safe to share between threads or processes.
@@ -75,15 +75,11 @@ class PointPattern:
 
     region: Region
     points: np.ndarray
-    intensity: float
-    seed: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, self.region.dim)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.intensity < 0:
-            raise ValueError("intensity must be nonnegative")
         if pts.size and (pts.min() < 0.0 or pts.max() >= self.region.side):
             raise ValueError("coordinates must lie in [0, side)")
 
@@ -105,7 +101,7 @@ def sample_poisson(region: Region, intensity: float, seed: int) -> PointPattern:
     gen = derived_rng(seed)
     count = int(gen.poisson(intensity * region.volume))
     points = gen.random((count, region.dim)) * region.side
-    return PointPattern(region, points, intensity, seed)
+    return PointPattern(region, points)
 
 
 class CoupledSampler:
@@ -125,7 +121,6 @@ class CoupledSampler:
         if stream not in STREAM_IDS:
             raise ValueError("stream must be 'A' or 'B'")
         self.region = region
-        self.seed = int(seed)
         self.stream = stream
         sid = STREAM_IDS[stream]
         self._point_rng = derived_rng(seed, *path, sid, 0)
@@ -171,4 +166,4 @@ class CoupledSampler:
         while self._points.shape[0] < n:
             more = self._point_rng.random(self._points.shape) * self.region.side
             self._points = np.concatenate([self._points, more])
-        return PointPattern(self.region, self._points[:n].copy(), intensity, self.seed)
+        return PointPattern(self.region, self._points[:n].copy())

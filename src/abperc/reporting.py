@@ -41,6 +41,4 @@ def write_summary(path, payload: dict) -> None:
 def _jsonable(obj):
     if hasattr(obj, "tolist"):
         return obj.tolist()
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
     return str(obj)

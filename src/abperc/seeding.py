@@ -8,17 +8,13 @@ import numpy as np
 STREAM_IDS = {"A": 0, "B": 1}
 
 
-def child_seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
-    """SeedSequence for one node of an experiment tree.
+def derived_rng(master_seed: int, *path: int) -> np.random.Generator:
+    """Generator for one node of an experiment tree, seeded from ``(master_seed, path)``.
 
     ``path`` is a tuple of small nonnegative integers (trial index, stream id,
     purpose id, ...). Distinct paths yield statistically independent streams,
     and the derivation does not depend on creation order, so parallel trials
     are reproducible under any scheduling.
     """
-    return np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(p) for p in path))
-
-
-def derived_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Generator seeded from ``(master_seed, path)``."""
-    return np.random.default_rng(child_seed_sequence(master_seed, *path))
+    return np.random.default_rng(
+        np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(p) for p in path)))

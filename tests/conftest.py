@@ -22,7 +22,7 @@ def unit_square():
 
 
 def random_pattern(rng, n, region=UNIT_SQUARE):
-    return PointPattern(region, rng.random((n, region.dim)) * region.side, float(max(n, 1)), 0)
+    return PointPattern(region, rng.random((n, region.dim)) * region.side)
 
 
 def brute_force_pairs(region, pts_a, pts_b, radius):

@@ -376,3 +376,25 @@ def test_cli_import_loads_no_spatial_index():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_import_starts_no_openblas_threads_unless_asked(given):
+    # scipy's OpenBLAS, loaded with scipy.sparse.csgraph, spins its worker
+    # threads after loading; abperc calls no BLAS and keeps one thread unless
+    # the caller set OPENBLAS_NUM_THREADS. Native threads are counted where
+    # Linux lists them, after numpy (whose own OpenBLAS loads first) and after abperc
+    code = ("import os, numpy; task = '/proc/self/task'; "
+            "count = lambda: len(os.listdir(task)) if os.path.isdir(task) else 0; "
+            "before = count(); import abperc; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], count() - before)")
+    src = str(Path(abperc.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src, env={**env, "PYTHONPATH": src})
+    value, added = out.stdout.split()
+    assert value == (given or "1")
+    if given is None:
+        assert added == "0"

@@ -58,20 +58,20 @@ def threshold_instances(draw):
         ys += draw(st.lists(st.sampled_from(ys), max_size=3))
         xs, ys = draw(st.permutations(xs)), draw(st.permutations(ys))
     cap = draw(st.none() | st.floats(1e-6, 0.05))
-    X = PointPattern(region, np.array(xs), float(len(xs)), 0)
-    return X, PointPattern(region, np.array(ys), float(len(ys)), 0), cap
+    X = PointPattern(region, np.array(xs))
+    return X, PointPattern(region, np.array(ys)), cap
 
 
 class TestRhoThreshold:
     def test_two_points_one_helper(self, unit_square):
-        X = PointPattern(unit_square, np.array([[0.0, 0.0], [1.0 - 1e-12, 0.0]]), 2.0, 0)
-        Y = PointPattern(unit_square, np.array([[0.5, 0.0]]), 1.0, 0)
+        X = PointPattern(unit_square, np.array([[0.0, 0.0], [1.0 - 1e-12, 0.0]]))
+        Y = PointPattern(unit_square, np.array([[0.5, 0.0]]))
         rho = rho_threshold(X, Y)
         # the farther of the two A-B distances
         assert rho == pytest.approx(0.5, abs=1e-9)
 
     def test_trivial_sizes(self, unit_square):
-        empty = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
+        empty = PointPattern(unit_square, np.empty((0, 2)))
         single = random_pattern(np.random.default_rng(0), 1)
         two = random_pattern(np.random.default_rng(1), 2)
         assert rho_threshold(single, empty) == 0.0
@@ -117,10 +117,9 @@ class TestRhoThreshold:
             X = random_pattern(rng, 12)
             Y = random_pattern(rng, 12)
             rho = rho_threshold(X, Y)
-            extra = PointPattern(unit_square, np.vstack([Y.points, rng.random((1, 2))]),
-                                 13.0, 0)
+            extra = PointPattern(unit_square, np.vstack([Y.points, rng.random((1, 2))]))
             assert rho_threshold(X, extra) <= rho
-            fewer = PointPattern(unit_square, X.points[:-1], 11.0, 0)
+            fewer = PointPattern(unit_square, X.points[:-1])
             assert rho_threshold(fewer, Y) <= rho
 
     def test_scale_equivariance(self):
@@ -129,10 +128,10 @@ class TestRhoThreshold:
         for c in (0.5, 3.0, 17.0):
             scaled = Region("box", c, 2)
             xs, ys = rng.random((15, 2)), rng.random((15, 2))
-            X = PointPattern(base, xs, 15.0, 0)
-            Y = PointPattern(base, ys, 15.0, 0)
-            Xc = PointPattern(scaled, xs * c, 15.0, 0)
-            Yc = PointPattern(scaled, ys * c, 15.0, 0)
+            X = PointPattern(base, xs)
+            Y = PointPattern(base, ys)
+            Xc = PointPattern(scaled, xs * c)
+            Yc = PointPattern(scaled, ys * c)
             rho, rho_c = rho_threshold(X, Y), rho_threshold(Xc, Yc)
             assert rho_c == pytest.approx(c * rho, rel=1e-12)
 
@@ -166,7 +165,7 @@ class TestRhoThreshold:
         corners = ([0.1, 0.1], [0.8, 0.8])
         xs = np.vstack([np.add(c, 0.1 * rng.random((6, 2))) for c in corners])
         ys = np.vstack([np.add(c, 0.1 * rng.random((6, 2))) for c in corners] + [[0.5, 0.5]])
-        X, Y = PointPattern(unit_square, xs, 12.0, 0), PointPattern(unit_square, ys, 13.0, 0)
+        X, Y = PointPattern(unit_square, xs), PointPattern(unit_square, ys)
         kernel, swept = connectivity.bottleneck, []
 
         def spy(n, u, v, weights, terminals):
@@ -192,15 +191,15 @@ class TestRhoThreshold:
     def test_mismatched_regions_rejected(self, unit_square):
         X = random_pattern(np.random.default_rng(8), 5)
         other = Region("box", 2.0, 2)
-        Y = PointPattern(other, np.random.default_rng(9).random((5, 2)) * 2, 5.0, 0)
+        Y = PointPattern(other, np.random.default_rng(9).random((5, 2)) * 2)
         with pytest.raises(ValueError):
             rho_threshold(X, Y)
 
     def test_torus_region_supported(self):
         region = Region("torus", 1.0, 2)
         rng = np.random.default_rng(10)
-        X = PointPattern(region, rng.random((10, 2)), 10.0, 0)
-        Y = PointPattern(region, rng.random((10, 2)), 10.0, 0)
+        X = PointPattern(region, rng.random((10, 2)))
+        Y = PointPattern(region, rng.random((10, 2)))
         rho = rho_threshold(X, Y)
         assert 0 < rho <= region.max_distance
         assert is_connected_g1(X, Y, rho)
@@ -296,7 +295,7 @@ class TestMinDegreeDiagnostic:
             assert 0 < agree < 40
 
     def test_empty_a_side_rejected(self, unit_square):
-        empty = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
+        empty = PointPattern(unit_square, np.empty((0, 2)))
         with pytest.raises(ValueError):
             g1_min_degree_is_zero(empty, empty, 0.1)
 
@@ -320,7 +319,7 @@ class TestSummaries:
     def test_infinite_statistics_give_exact_quartiles(self):
         # a cell without B points has rho = statistic = +inf
         def cell(stats):
-            samples = [ThresholdSample(100.0, 1.0, i, s, s, 0) for i, s in enumerate(stats)]
+            samples = [ThresholdSample(100.0, 1.0, i, s, s) for i, s in enumerate(stats)]
             row, = summarize_thresholds(samples)
             return [row[k] for k in ("q25_statistic", "median_statistic", "q75_statistic")]
 

@@ -130,21 +130,21 @@ class TestNeighborGrid:
         qi, pj, sqd = NeighborGrid(b, region).pairs_against(a, radius)
         assert sorted(zip(qi.tolist(), pj.tolist())) == brute_force_pairs(region, a, b, radius)
         assert np.array_equal(sqd, region.sqdist(a[qi], b[pj]))
-        graph = build_unigraph(PointPattern(region, a, 1.0, 0), radius)
+        graph = build_unigraph(PointPattern(region, a), radius)
         got = sorted(zip(graph.edges_u.tolist(), graph.edges_v.tolist()))
         assert got == brute_force_self_pairs(region, a, radius)
 
 
 class TestBipartite:
     def test_boundary_distance_counts(self, unit_square):
-        X = PointPattern(unit_square, np.array([[0.0, 0.0]]), 1.0, 0)
-        Y = PointPattern(unit_square, np.array([[0.5, 0.0]]), 1.0, 0)
+        X = PointPattern(unit_square, np.array([[0.0, 0.0]]))
+        Y = PointPattern(unit_square, np.array([[0.5, 0.0]]))
         graph = build_bipartite(X, Y, 0.5)
         assert len(graph.edges_u) == 1
 
     def test_empty_side_no_edges(self, unit_square):
         X = random_pattern(np.random.default_rng(4), 10)
-        Y = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
+        Y = PointPattern(unit_square, np.empty((0, 2)))
         graph = build_bipartite(X, Y, 0.3)
         assert len(graph.edges_u) == 0
 
@@ -159,7 +159,7 @@ class TestBipartite:
     def test_mismatched_regions_rejected(self, unit_square):
         X = random_pattern(np.random.default_rng(7), 5)
         other = Region("box", 2.0, 2)
-        Y = PointPattern(other, np.random.default_rng(8).random((5, 2)), 5.0, 0)
+        Y = PointPattern(other, np.random.default_rng(8).random((5, 2)))
         with pytest.raises(ValueError):
             build_bipartite(X, Y, 0.2)
 
@@ -176,12 +176,12 @@ class TestBipartite:
 
 class TestUnigraph:
     def test_two_points_at_threshold(self, unit_square):
-        X = PointPattern(unit_square, np.array([[0.1, 0.1], [0.6, 0.1]]), 2.0, 0)
+        X = PointPattern(unit_square, np.array([[0.1, 0.1], [0.6, 0.1]]))
         graph = build_unigraph(X, 0.5)
         assert len(graph.edges_u) == 1
 
     def test_singleton_no_edges(self, unit_square):
-        X = PointPattern(unit_square, np.array([[0.5, 0.5]]), 1.0, 0)
+        X = PointPattern(unit_square, np.array([[0.5, 0.5]]))
         assert len(build_unigraph(X, 0.5).edges_u) == 0
 
     def test_matches_brute_force(self, unit_square):
@@ -215,7 +215,7 @@ class TestComponents:
     def test_path_graph(self, unit_square):
         # exact binary spacing so consecutive distances equal the threshold
         pts = np.array([[0.125 * k, 0.0] for k in range(6)])
-        X = PointPattern(unit_square, pts, 6.0, 0)
+        X = PointPattern(unit_square, pts)
         _, count = components(build_unigraph(X, 0.125))
         assert count == 1
 
@@ -237,14 +237,14 @@ class TestComponents:
 
 class TestSharedNeighborGraph:
     def test_shared_point_makes_edge(self, unit_square):
-        X = PointPattern(unit_square, np.array([[0.0, 0.0], [0.99, 0.0]]), 2.0, 0)
-        Y = PointPattern(unit_square, np.array([[0.5, 0.0]]), 1.0, 0)
+        X = PointPattern(unit_square, np.array([[0.0, 0.0], [0.99, 0.0]]))
+        Y = PointPattern(unit_square, np.array([[0.5, 0.0]]))
         graph = build_g1(X, Y, 0.5)
         assert len(graph.edges_u) == 1
 
     def test_empty_helper_side_gives_edgeless(self, unit_square):
         X = random_pattern(np.random.default_rng(13), 8)
-        Y = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
+        Y = PointPattern(unit_square, np.empty((0, 2)))
         assert len(build_g1(X, Y, 0.3).edges_u) == 0
 
     def test_matches_cubic_brute_force(self, unit_square):
@@ -276,7 +276,7 @@ class TestSharedNeighborGraph:
 
     def test_trivial_sizes(self, unit_square):
         single = random_pattern(np.random.default_rng(16), 1)
-        empty = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
+        empty = PointPattern(unit_square, np.empty((0, 2)))
         two = random_pattern(np.random.default_rng(17), 2)
         assert is_connected_g1(single, empty, 0.1)
         assert is_connected_g1(empty, empty, 0.1)
@@ -288,11 +288,11 @@ class TestMinDegree:
         X = random_pattern(np.random.default_rng(18), 5)
         assert min_degree(build_unigraph(X, 1e-9)) == 0
         pts = np.array([[0.5, 0.5], [0.51, 0.5], [0.5, 0.51], [0.51, 0.51]])
-        K4 = PointPattern(unit_square, pts, 4.0, 0)
+        K4 = PointPattern(unit_square, pts)
         assert min_degree(build_unigraph(K4, 0.1)) == 3
 
     def test_empty_vertex_set_rejected(self, unit_square):
-        empty = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
+        empty = PointPattern(unit_square, np.empty((0, 2)))
         with pytest.raises(ValueError):
             min_degree(build_unigraph(empty, 0.1))
 
@@ -307,8 +307,8 @@ class TestMinDegree:
         assert min_degree(graph) == min(degs)
 
     def test_zero_when_some_vertex_uncovered(self, unit_square):
-        X = PointPattern(unit_square, np.array([[0.1, 0.1], [0.9, 0.9]]), 2.0, 0)
-        Y = PointPattern(unit_square, np.array([[0.12, 0.1]]), 1.0, 0)
+        X = PointPattern(unit_square, np.array([[0.1, 0.1], [0.9, 0.9]]))
+        Y = PointPattern(unit_square, np.array([[0.12, 0.1]]))
         assert min_degree(build_g1(X, Y, 0.05)) == 0
 
 
@@ -369,19 +369,19 @@ def random_weighted_graph(data, n, real):
 class TestCrossing:
     def test_single_midbox_point(self):
         region = Region("box", 10.0, 2)
-        X = PointPattern(region, np.array([[5.0, 5.0]]), 1.0, 0)
+        X = PointPattern(region, np.array([[5.0, 5.0]]))
         assert not crossing_exists(build_unigraph(X, 1.0))
 
     def test_constructed_spanning_chain(self):
         region = Region("box", 10.0, 2)
         xs = np.arange(0.25, 10.0, 0.5)
         pts = np.column_stack([xs, np.full_like(xs, 5.0)])
-        X = PointPattern(region, pts, 1.0, 0)
+        X = PointPattern(region, pts)
         assert crossing_exists(build_unigraph(X, 1.0))
 
     def test_torus_rejected(self):
         region = Region("torus", 10.0, 2)
-        X = PointPattern(region, np.array([[5.0, 5.0]]), 1.0, 0)
+        X = PointPattern(region, np.array([[5.0, 5.0]]))
         with pytest.raises(ValueError):
             crossing_exists(build_unigraph(X, 1.0))
 
@@ -391,7 +391,7 @@ class TestCrossing:
         hits = 0
         for _ in range(25):
             n = int(rng.integers(30, 120))
-            X = PointPattern(region, rng.random((n, 2)) * 8.0, float(n), 0)
+            X = PointPattern(region, rng.random((n, 2)) * 8.0)
             graph = build_unigraph(X, 1.0)
             got = crossing_exists(graph)
             adj = [[] for _ in range(n)]
@@ -418,9 +418,9 @@ class TestCrossing:
         hits = 0
         for _ in range(30):
             n = int(rng.integers(20, 90))
-            X = PointPattern(region, rng.random((n, 2)) * 8.0, float(n), 0)
+            X = PointPattern(region, rng.random((n, 2)) * 8.0)
             want = next((k for k in range(1, n + 1) if crossing_exists(
-                build_unigraph(PointPattern(region, X.points[:k], 1.0, 0), 1.0))), None)
+                build_unigraph(PointPattern(region, X.points[:k]), 1.0))), None)
             assert prefix_length(X, 1.0) == want
             hits += want is not None
         assert 0 < hits < 30
@@ -432,24 +432,24 @@ class TestCrossing:
         # a far point first, then a chain with no skippable link: crossing
         # needs every chain point
         pts = np.vstack([[[5.0, 9.5]], chain])
-        X = PointPattern(region, pts, 1.0, 0)
+        X = PointPattern(region, pts)
         assert prefix_length(X, 1.0) == len(pts)
-        assert prefix_length(PointPattern(region, chain[::-1], 1.0, 0), 1.0) == len(chain)
-        assert prefix_length(PointPattern(region, np.empty((0, 2)), 0.0, 0), 1.0) is None
+        assert prefix_length(PointPattern(region, chain[::-1]), 1.0) == len(chain)
+        assert prefix_length(PointPattern(region, np.empty((0, 2))), 1.0) is None
         # neighbours exactly s apart along the axis connect; one float wider
         # and the chain breaks
         xs = np.arange(0.5, 10.0, 1.0)
         tight = np.column_stack([xs, np.full_like(xs, 5.0)])
-        assert prefix_length(PointPattern(region, tight, 1.0, 0), 1.0) == len(xs)
+        assert prefix_length(PointPattern(region, tight), 1.0) == len(xs)
         tight[5, 0] = np.nextafter(tight[5, 0], 10.0)
-        broken = PointPattern(region, tight, 1.0, 0)
+        broken = PointPattern(region, tight)
         assert prefix_length(broken, 1.0) is None
         assert not crossing_exists(build_unigraph(broken, 1.0))
         # one point in both margins spans on its own
         narrow = Region("box", 4.0, 2)
-        assert prefix_length(PointPattern(narrow, [[3.0, 1.0], [2.0, 1.0]], 1.0, 0), 2.0) == 2
+        assert prefix_length(PointPattern(narrow, [[3.0, 1.0], [2.0, 1.0]]), 2.0) == 2
         with pytest.raises(ValueError):
-            prefix_length(PointPattern(Region("torus", 10.0, 2), chain, 1.0, 0), 1.0)
+            prefix_length(PointPattern(Region("torus", 10.0, 2), chain), 1.0)
 
     # coordinates on a half-unit lattice put many pairs exactly at distance
     # 1.0 or at the margins, where the closed-ball predicate decides
@@ -466,9 +466,9 @@ class TestCrossing:
                          dtype=np.int64)
 
         def graph_of(keep_left, keep_right):
-            X = PointPattern(region, left[keep_left], 1.0, 0)
+            X = PointPattern(region, left[keep_left])
             if bipartite:
-                return build_bipartite(X, PointPattern(region, right[keep_right], 1.0, 0), 1.0)
+                return build_bipartite(X, PointPattern(region, right[keep_right]), 1.0)
             return build_unigraph(X, 1.0)
 
         everything = np.ones(n, dtype=bool)
@@ -482,7 +482,7 @@ class TestCrossing:
         rng = np.random.default_rng(22)
         pairs = []
         for n in (0, 1, 40, 60, 80, 100):
-            X = PointPattern(region, rng.random((n, 2)) * 8.0, float(n), 0)
+            X = PointPattern(region, rng.random((n, 2)) * 8.0)
             pairs.append((build_unigraph(X, 1.0), rng.integers(1, 30, size=n)))
         alone = [crossing_steps([pair])[0] for pair in pairs]
         assert crossing_steps(pairs) == alone
@@ -492,9 +492,9 @@ class TestCrossing:
     def test_bipartite_crossing_uses_both_sides(self):
         region = Region("box", 8.0, 2)
         xa = np.arange(0.5, 8.0, 1.5)
-        A = PointPattern(region, np.column_stack([xa, np.full_like(xa, 4.0)]), 1.0, 0)
+        A = PointPattern(region, np.column_stack([xa, np.full_like(xa, 4.0)]))
         xb = np.arange(1.25, 8.0, 1.5)
-        B = PointPattern(region, np.column_stack([xb, np.full_like(xb, 4.0)]), 1.0, 0)
+        B = PointPattern(region, np.column_stack([xb, np.full_like(xb, 4.0)]))
         graph = build_bipartite(A, B, 0.8)
         assert crossing_exists(graph)
-        assert not crossing_exists(build_bipartite(A, B, 0.7), margin=0.7)
+        assert not crossing_exists(build_bipartite(A, B, 0.7))

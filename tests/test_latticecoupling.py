@@ -1,46 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
 from abperc import (
-    PointPattern,
-    Region,
     ResourceLimitError,
     delta_count,
-    discretize,
     implication_holds,
     latticecoupling,
     q_coupling,
     sample_coupled_fields,
 )
 from abperc.latticecoupling import ball_offsets
+from abperc.seeding import derived_rng
 from conftest import site_related
-
-
-class TestDiscretize:
-    def test_empty_pattern(self, unit_square):
-        empty = PointPattern(unit_square, np.empty((0, 2)), 0.0, 0)
-        result = discretize(empty, 0.25)
-        assert result.sites.shape == (0, 2)
-        assert not result.truncated
-
-    def test_half_open_cell_convention(self, unit_square):
-        pattern = PointPattern(unit_square, np.array([[0.25, 0.25]]), 1.0, 0)
-        result = discretize(pattern, 0.5)
-        assert result.sites.tolist() == [[0, 0]]
-        on_edge = PointPattern(unit_square, np.array([[0.5, 0.25]]), 1.0, 0)
-        assert discretize(on_edge, 0.5).sites.tolist() == [[1, 0]]
-
-    def test_count_bounded_by_points(self, unit_square):
-        rng = np.random.default_rng(0)
-        pattern = PointPattern(unit_square, rng.random((60, 2)), 60.0, 0)
-        result = discretize(pattern, 0.2)
-        assert len(result.sites) <= 60
-
-    def test_truncation_flag(self, unit_square):
-        pattern = PointPattern(unit_square, np.array([[0.1, 0.1]]), 1.0, 0)
-        assert not discretize(pattern, 0.25).truncated
-        assert discretize(pattern, 0.3).truncated
 
 
 class TestSiteRelated:
@@ -107,6 +81,41 @@ class TestSampleCoupledFields:
             sample_coupled_fields((8, 8), 1.0, 1000.0, 0.5, 0.3, 0)
         with pytest.raises(ValueError, match="window"):
             sample_coupled_fields((8, 8), 1.0, 4.0, 0.5, 0.3, 0)
+
+    @pytest.mark.parametrize("window, epsilon, t, seed, path", [
+        ((16, 16), 1.0, 1.5, 9, ()),
+        ((24, 20), 0.7, 2.5, 3, (1,)),
+        ((40, 33), 1.0, 2.5, 0, (2, 5)),
+    ])
+    def test_bits_match_stacked_reference(self, window, epsilon, t, seed, path):
+        # every U plane drawn from the same stream and held, then V and W
+        # built from their definitions with zero-padded shifts
+        p_lambda, p_nu = 0.6, 0.3
+        offsets = ball_offsets(t, epsilon)
+        rng = derived_rng(seed, *path)
+        T = rng.random(window) < p_lambda
+        U = np.stack([rng.random(window) < (p_nu / p_lambda) ** (1.0 / len(offsets))
+                      for _ in offsets])
+        m = int(np.abs(offsets).max())
+        W = np.zeros(window, dtype=bool)
+        for (ox, oy), plane in zip(offsets, U):
+            padded = np.pad(plane, m)
+            W |= padded[m - ox:m - ox + window[0], m - oy:m - oy + window[1]]
+        field = sample_coupled_fields(window, epsilon, t, p_lambda, p_nu, seed, path=path)
+        assert np.array_equal(field.T, T)
+        assert np.array_equal(field.V, T & U.all(axis=0))
+        assert np.array_equal(field.W, W)
+
+    def test_field_never_holds_every_u_plane(self):
+        # t = 5 gives Delta = 80 U bits per site; the bits of T, V, W, the
+        # interior mask, one U plane and its floats are about 13 bytes a site
+        tracemalloc.start()
+        try:
+            sample_coupled_fields((200, 200), 1.0, 5.0, 0.6, 0.3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 200 * 200
 
     def test_deterministic(self):
         a = sample_coupled_fields((16, 16), 1.0, 1.5, 0.5, 0.2, 9)

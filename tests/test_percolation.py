@@ -13,6 +13,7 @@ from abperc import (
     estimate_mu_c,
     wilson_interval,
 )
+from abperc import percolation
 from abperc.percolation import (
     ab_crossing_times,
     ab_crossing_trial,
@@ -139,6 +140,23 @@ class TestEstimateMuC:
             proxy = dense_b_limit_trial(9, trial, 0.6, 1.0, 12.0, 2)
             finite = ab_crossing_trial(9, trial, 0.6, 5.0, 1.0, 12.0, 2)
             assert finite <= proxy
+
+    def test_seeds_whose_limit_fails_are_never_swept(self, monkeypatch):
+        # the dense-B limit dominates every finite mu seed by seed, so a seed
+        # whose limit does not cross at lam can never cross on the B axis
+        lam, L, trials, seed = 0.45, 12.0, 40, 5
+        swept = []
+
+        def spy(seed, block, *params):
+            swept.extend(int(t) for t in block)
+            return ab_crossing_times(seed, block, *params)
+
+        monkeypatch.setattr(percolation, "ab_crossing_times", spy)
+        est = estimate_mu_c(1.0, lam, L, trials, 0.1, seed, jobs=1)
+        limit = one_type_crossing_times(seed, range(trials), lam, lam, 1.0, L, 2)
+        never = {t for t, T in enumerate(limit) if T == math.inf}
+        assert not est.no_percolation and never and swept
+        assert never.isdisjoint(swept)
 
     def test_one_type_margin_convention(self):
         # one-type crossing uses the connection distance (2r) as margin

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from abperc import CoupledSampler, PointPattern, Region, ResourceLimitError, sample_poisson
@@ -184,9 +186,36 @@ class TestCoupledSampler:
         assert late.event_time(500) == t
 
 
+class TestCouplingProperties:
+    """The coupling of one sampler across intensities, over seeds, intensity
+    lists and query orders: prefixes nest exactly, and neither the points nor
+    the event times depend on the order of the queries."""
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), stream=st.sampled_from(["A", "B"]),
+           region=st.sampled_from([Region("box", 1.0, 2), Region("torus", 2.5, 2),
+                                   Region("box", 1.5, 3)]),
+           lams=st.lists(st.floats(0.0, 150.0), min_size=2, max_size=6),
+           ks=st.lists(st.integers(1, 700), max_size=4), data=st.data())
+    def test_nested_and_query_order_invariant(self, seed, stream, region, lams, ks, data):
+        ascending = CoupledSampler(region, seed, stream)
+        want = {lam: ascending.prefix(lam).points for lam in sorted(lams)}
+        times = [ascending.event_time(k) for k in ks]
+        for small in lams:
+            for large in lams:
+                if small <= large:
+                    assert np.array_equal(want[large][:len(want[small])], want[small])
+        # event times asked first, then the prefixes in a drawn order
+        shuffled = CoupledSampler(region, seed, stream)
+        assert [shuffled.event_time(k) for k in ks] == times
+        for lam in data.draw(st.permutations(lams)):
+            assert np.array_equal(shuffled.prefix(lam).points, want[lam])
+        assert [shuffled.event_time(k) for k in ks] == times
+
+
 class TestPointPattern:
     def test_coordinate_invariant_enforced(self, unit_square):
         with pytest.raises(ValueError):
-            PointPattern(unit_square, np.array([[0.5, 1.0]]), 1.0, 0)
+            PointPattern(unit_square, np.array([[0.5, 1.0]]))
         with pytest.raises(ValueError):
-            PointPattern(unit_square, np.array([[-0.1, 0.5]]), 1.0, 0)
+            PointPattern(unit_square, np.array([[-0.1, 0.5]]))
