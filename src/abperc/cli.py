@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import asdict, dataclass
 
-from . import bounds, connectivity, latticecoupling, percolation
+from . import bounds, connectivity, latticecoupling, parallel, percolation
 from .errors import EstimationError, ResourceLimitError
 from .pointprocess import Region, sample_poisson
 from .reporting import write_csv, write_summary
@@ -158,7 +158,9 @@ def run(config: ExperimentConfig) -> int:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
     if config.jobs < 1:
         raise ValueError("jobs must be at least 1")
-    tables, results = handler(config.params, config.seed, config.jobs)
+    # one process pool for the whole run, its workers joined before any file is written
+    with parallel.pool_scope():
+        tables, results = handler(config.params, config.seed, config.jobs)
     for suffix, (header, rows) in tables.items():
         write_csv(f"{config.out}{suffix}", header, rows)
     write_summary(f"{config.out}.summary.json", {"config": asdict(config), **results})

@@ -239,18 +239,26 @@ def crossing_steps(graphs_and_steps) -> list:
     margin vertex to a super source (low face) or super sink (high face), is
     present from the later arrival of its ends; k is the bottleneck between
     source and sink, one :func:`bottleneck` call on the graphs' disjoint union.
+
+    Each edge and link has its later-arriving end as its row, so its weight
+    is that row's step: when vertices are numbered in arrival order, as in the
+    sweeps, the matrix the spanning forest sorts is already in weight order
+    within each graph. k is exact for any numbering, since the bottleneck does
+    not depend on which minimum spanning forest breaks the ties.
     """
     parts, groups = [], []
     offset = 0
     for graph, arrive in graphs_and_steps:
         low, high = _margin_vertices(graph)
         nv, u, v = graph.n_vertices, graph.edges_u, graph.edges_v
+        later = arrive[u] >= arrive[v]
+        rows, cols = np.where(later, u, v), np.where(later, v, u)
         # the graph's edges, then the links of its source nv and sink nv + 1,
         # numbered into the union as int32, which keeps the kernel's copies small
-        ends = (np.concatenate([u, np.full(low.size, nv), np.full(high.size, nv + 1)]),
-                np.concatenate([v, low, high]))
+        ends = (np.concatenate([rows, low, high]),
+                np.concatenate([cols, np.full(low.size, nv), np.full(high.size, nv + 1)]))
         parts.append([end.astype(np.int32) + np.int32(offset) for end in ends] + [
-            np.concatenate([np.maximum(arrive[u], arrive[v]), arrive[low], arrive[high]])])
+            np.concatenate([arrive[rows], arrive[low], arrive[high]])])
         groups.append((offset + nv, offset + nv + 1))
         offset += nv + 2
     # dropped before the kernel runs, so that the union is never held twice

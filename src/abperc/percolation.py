@@ -19,7 +19,9 @@ of a bisection, counts that comparison (:func:`_probe`). The B levels of
 no percolation is reported. Seeds are swept in blocks, one pool task each: at
 each doubling level, one kernel call on the disjoint union of their graphs
 (:func:`abperc.geomgraph.crossing_steps`) answers the block's seeds not yet
-crossed. A seed's time does not depend on the seeds in its block.
+crossed. A seed's time does not depend on the seeds in its block. The
+estimators run in one :func:`abperc.parallel.pool_scope`, so all the sweeps of
+an estimate share one process pool, forked once.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .errors import EstimationError
-from .parallel import parallel_starmap
+from .parallel import parallel_starmap, pool_scope
 from .pointprocess import CoupledSampler, PointPattern, Region
 from .geomgraph import build_bipartite, build_unigraph, crossing_exists, crossing_steps
 
@@ -234,6 +236,7 @@ def _validate_bisection(tol: float, target: float) -> None:
         raise ValueError("tolerance must be positive")
 
 
+@pool_scope()
 def crossing_probability(kind: str, intensities, r: float, L: float, trials: int,
                          seed: int, d: int = 2, jobs: int = 1) -> list[ProbeResult]:
     """Crossing-probability estimates with Wilson intervals.
@@ -268,6 +271,7 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
     return probes
 
 
+@pool_scope()
 def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
                       d: int = 2, bracket: tuple | None = None, target: float = 0.5,
                       jobs: int = 1) -> CriticalEstimate:
@@ -307,6 +311,7 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
         seed=seed, probes=probes)
 
 
+@pool_scope()
 def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed: int,
                   d: int = 2, mu_max: float = DEFAULT_MU_MAX, target: float = 0.5,
                   jobs: int = 1) -> CriticalEstimate:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abperc import (
+    Graph,
     NeighborGrid,
     PointPattern,
     Region,
@@ -476,6 +477,24 @@ class TestCrossing:
             (steps <= k)[:len(left)], (steps <= k)[len(left):]))), None)
         assert crossing_steps([(graph_of(everything[:len(left)], everything[len(left):]),
                                 steps)]) == [want]
+
+    # the kernel lists each edge with its later-arriving end as the row; the
+    # answer must not depend on how a caller lists or numbers its edges
+    @given(data=st.data(), bipartite=st.booleans())
+    def test_step_ignores_edge_order_and_direction(self, data, bipartite):
+        region = Region("box", 5.0, 2)
+        coord = st.integers(0, 9).map(lambda c: c * 0.5)
+        points = st.lists(st.tuples(coord, coord), max_size=40)
+        X, Y = (PointPattern(region, np.array(data.draw(points), dtype=float).reshape(-1, 2))
+                for _ in range(2))
+        graph = build_bipartite(X, Y, 1.0) if bipartite else build_unigraph(X, 1.0)
+        n = graph.n_vertices
+        steps = np.array(data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)),
+                         dtype=np.int64)
+        order = np.array(data.draw(st.permutations(range(len(graph.edges_u)))), dtype=np.int64)
+        flipped = Graph(region, graph.points, graph.radius, graph.edges_v[order],
+                        graph.edges_u[order])
+        assert crossing_steps([(flipped, steps)]) == crossing_steps([(graph, steps)])
 
     def test_one_call_matches_each_graph_alone(self):
         region = Region("box", 8.0, 2)
