@@ -30,8 +30,10 @@ class ExperimentConfig:
     jobs: int
 
 
-def _parse_list(text: str, kind=float) -> list:
-    return [kind(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, flag: str, kind=float) -> list:
+    if values := [kind(tok) for tok in text.split(",") if tok.strip()]:
+        return values
+    raise ValueError(f"{flag} needs at least one value, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,12 +178,14 @@ def _run_sample(p, seed, jobs):
 
 
 def _run_percolate(p, seed, jobs):
-    if p.get("intensities"):
+    if p.get("intensities") is not None:
         probes = percolation.crossing_probability(
-            "one-type", _parse_list(p["intensities"]), p["r"], p["L"], p["trials"], seed,
-            d=p["d"], jobs=jobs)
+            "one-type", _parse_list(p["intensities"], "--intensities"), p["r"], p["L"],
+            p["trials"], seed, d=p["d"], jobs=jobs)
         return {".csv": _probe_rows(probes)}, {"mode": "probe-only"}
-    bracket = tuple(_parse_list(p["bracket"])) if p.get("bracket") else None
+    bracket = None if p.get("bracket") is None else tuple(_parse_list(p["bracket"], "--bracket"))
+    if bracket is not None and len(bracket) != 2:
+        raise ValueError(f"--bracket takes two values lo,hi, got {p['bracket']!r}")
     est = percolation.estimate_lambda_c(
         p["r"], p["L"], p["trials"], p["tol"], seed, d=p["d"],
         bracket=bracket, target=p["target"], jobs=jobs)
@@ -216,7 +220,7 @@ def _run_bound(p, seed, jobs):
 
 def _run_lln(p, seed, jobs):
     samples, summary = connectivity.lln_sweep(
-        _parse_list(p["n"]), _parse_list(p["tau"]), p["trials"], seed, jobs=jobs)
+        _parse_list(p["n"], "--n"), _parse_list(p["tau"], "--tau"), p["trials"], seed, jobs=jobs)
     rows = [[s.n, s.tau, s.trial, s.rho, s.statistic] for s in samples]
     med_header = ["n", "tau", "trials", "median_statistic", "q25_statistic",
                   "q75_statistic", "median_rho"]
@@ -228,7 +232,7 @@ def _run_lln(p, seed, jobs):
 
 def _run_mindeg(p, seed, jobs):
     rows, fractions = [], {}
-    for ai, alpha in enumerate(_parse_list(p["alpha"])):
+    for ai, alpha in enumerate(_parse_list(p["alpha"], "--alpha")):
         fraction, indicators = connectivity.min_degree_diagnostic(
             p["n"], p["tau"], alpha, p["trials"], seed, jobs=jobs, alpha_index=ai)
         fractions[str(alpha)] = fraction
@@ -242,7 +246,7 @@ def _run_couple_test(p, seed, jobs):
         raise ValueError(f"--fields must be at least 1, got {p['fields']}")
     from scipy.stats import binomtest
 
-    window = tuple(_parse_list(p["window"], int))
+    window = tuple(_parse_list(p["window"], "--window", int))
     header, rows = None, []
     pooled = {"T": [0, 0], "V": [0, 0], "W": [0, 0]}
     implication_ok = True

@@ -8,20 +8,17 @@ reusing one batch of coupled seeds across probe values so the per-seed
 crossing indicator is monotone along the probed axis.
 
 Probes never re-simulate a seed (Newman and Ziff, PRL 85:4104, 2000, in the
-continuum). Each seed is swept for its crossing time: on the one-type axis T
-is the arrival time of the A point with which the coupled pattern first
-crosses, and on the B axis of the AB graph, with the A pattern fixed, T_B is
-the arrival time of the B point that completes the first crossing. The seed
-crosses at intensity v exactly when ``T <= v * volume``, so every estimate is
-a view of one float64 array of per-seed times: each probe, of a probe list or
-of a bisection, counts that comparison (:func:`_probe`). The B levels of
-:func:`estimate_mu_c` double up to ``mu_max``, which is itself probed before
-no percolation is reported. Seeds are swept in blocks, one pool task each: at
-each doubling level, one kernel call on the disjoint union of their graphs
-(:func:`abperc.geomgraph.crossing_steps`) answers the block's seeds not yet
-crossed. A seed's time does not depend on the seeds in its block. The
-estimators run in one :func:`abperc.parallel.pool_scope`, so all the sweeps of
-an estimate share one process pool, forked once.
+continuum). Each seed has a crossing time: on the one-type axis T is the
+arrival time of the A point with which the coupled pattern first crosses, and
+on the B axis of the AB graph, with the A pattern fixed, T_B is the arrival
+time of the B point that completes the first crossing. The seed crosses at
+intensity v exactly when ``T <= v * volume``, so every probe counts that
+comparison on one float64 array of per-seed times (:func:`_probe`). One driver,
+:func:`_levels`, fills the array level-major: it doubles the intensity up to a
+top and at each level sweeps only the seeds not yet crossed, in blocks, one
+pool task and one kernel call (:func:`abperc.geomgraph.crossing_steps`) per
+block. The estimators run in one :func:`abperc.parallel.pool_scope`, so all the
+levels of an estimate share one process pool, forked once.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .parallel import parallel_starmap, pool_scope
-from .pointprocess import CoupledSampler, PointPattern, Region
+from .pointprocess import CoupledSampler, Region, _require_budget
 from .geomgraph import build_bipartite, build_unigraph, crossing_exists, crossing_steps
 
 DEFAULT_MU_MAX = 1.0e6
@@ -97,75 +94,70 @@ def one_type_crossing_trial(seed: int, trial: int, lam: float, r: float, L: floa
     return crossing_exists(build_unigraph(pattern, 2.0 * r))
 
 
-def _sweep(samplers, start: float, top: float, graph_of) -> list[float]:
+def _sweep(samplers, level: float, graph_of) -> list[float]:
     """Crossing times of the patterns that ``samplers`` couple across intensities.
 
-    ``graph_of(i, points)`` returns the graph of pattern i with its prefix
-    ``points`` at the level's intensity, and the arrival step of each vertex:
-    1 for fixed vertices, j + 2 for point j. Levels lam double from
-    ``min(start, top)`` to ``top``; a probe sweep starts at s**-d, s its
-    connection distance. A pattern's time is the event time of the last point
-    its first crossing needs (0 for none), the same from any start and in any
-    block: it crosses at lam exactly when ``time <= lam * volume``; inf if
-    ``top`` does not cross.
+    ``graph_of(i, pattern)`` returns the graph of pattern i at ``level`` and the
+    arrival step of each vertex: 1 for fixed vertices, j + 2 for point j. A
+    pattern's time is the event time of the last point its first crossing needs
+    (0 for none), the same at any level that crosses and in any block: it crosses
+    at lam exactly when ``time <= lam * volume``; inf if ``level`` does not cross.
     """
-    points = [sampler.prefix(top).points for sampler in samplers]
-    times, pending = [math.inf] * len(samplers), list(range(len(samplers)))
-    lam = min(start, top)
-    while pending:
-        # the graphs are built one at a time, as crossing_steps consumes them
-        ks = crossing_steps(graph_of(i, points[i][:samplers[i].count_at(lam)])
-                            for i in pending)
-        for i, k in zip(pending, ks):
-            if k is not None:
-                times[i] = samplers[i].event_time(k - 1) if k > 1 else 0.0
-        # a pattern not crossed at top keeps the time inf
-        pending = [i for i, k in zip(pending, ks) if k is None and lam < top]
-        lam = min(2.0 * lam, top)
-    return times
+    # the graphs are built one at a time, as crossing_steps consumes them
+    ks = crossing_steps(graph_of(i, sampler.prefix(level)) for i, sampler in enumerate(samplers))
+    return [math.inf if k is None else samplers[i].event_time(k - 1) if k > 1 else 0.0
+            for i, k in enumerate(ks)]
 
 
-def one_type_crossing_times(seed: int, trials, start: float, top: float, r: float, L: float,
+def one_type_crossing_times(seed: int, trials, lam: float, r: float, L: float,
                             d: int) -> list[float]:
-    """Crossing time T of each of ``trials``, swept from ``start`` as in
-    :func:`_sweep`: :func:`one_type_crossing_trial` at intensity lam is ``T <=
-    lam * volume`` for every lam in [0, top]; T is inf if ``top`` does not cross.
+    """Crossing time T of each of ``trials`` as in :func:`_sweep`:
+    :func:`one_type_crossing_trial` at intensity v is ``T <= v * volume`` for
+    every v in [0, lam]; T is inf if ``lam`` does not cross.
     """
     region = Region("box", L, d)
 
-    def graph_of(i, points):
-        graph = build_unigraph(PointPattern(region, points), 2.0 * r)
-        return graph, np.arange(2, len(points) + 2)
+    def graph_of(i, pattern):
+        return build_unigraph(pattern, 2.0 * r), np.arange(2, len(pattern) + 2)
 
-    samplers = [CoupledSampler(region, seed, "A", path=(t,)) for t in trials]
-    return _sweep(samplers, start, top, graph_of)
+    return _sweep([CoupledSampler(region, seed, "A", path=(t,)) for t in trials], lam, graph_of)
 
 
-def ab_crossing_times(seed: int, trials, lam: float, start: float, top: float, r: float,
-                      L: float, d: int) -> list[float]:
-    """B crossing time T_B of each of ``trials`` at A intensity lam, swept from
-    ``start`` as in :func:`_sweep`: :func:`ab_crossing_trial` at B intensity mu
-    is ``T_B <= mu * volume`` for every mu in [0, top]; T_B is inf if the
-    graph with the B pattern at ``top`` does not cross.
+def ab_crossing_times(seed: int, trials, mu: float, lam: float, r: float, L: float,
+                      d: int) -> list[float]:
+    """B crossing time T_B of each of ``trials`` at A intensity lam as in
+    :func:`_sweep`: :func:`ab_crossing_trial` at B intensity v is ``T_B <= v *
+    volume`` for every v in [0, mu]; T_B is inf if ``mu`` does not cross.
     """
     region = Region("box", L, d)
     Xs = [CoupledSampler(region, seed, "A", path=(t,)).prefix(lam) for t in trials]
 
-    def graph_of(i, points):
+    def graph_of(i, Y):
         # the A points are fixed, present from step 1
-        graph = build_bipartite(Xs[i], PointPattern(region, points), r)
-        return graph, np.concatenate([np.ones(len(Xs[i]), np.int64), np.arange(2, len(points) + 2)])
+        graph = build_bipartite(Xs[i], Y, r)
+        return graph, np.concatenate([np.ones(len(Xs[i]), np.int64), np.arange(2, len(Y) + 2)])
 
-    samplers = [CoupledSampler(region, seed, "B", path=(t,)) for t in trials]
-    return _sweep(samplers, start, top, graph_of)
+    return _sweep([CoupledSampler(region, seed, "B", path=(t,)) for t in trials], mu, graph_of)
 
 
-def _swept(sweep, seed: int, trials, jobs: int, *params) -> np.ndarray:
-    """Crossing times ``sweep(seed, block, *params)`` of ``trials``, in order, one
-    pool task per block of at most ``_BLOCK`` seeds, and ``jobs`` blocks or more."""
-    size = max(1, min(_BLOCK, -(-len(trials) // jobs)))
-    tasks = [(seed, trials[lo:lo + size], *params) for lo in range(0, len(trials), size)]
-    return np.array([T for block in parallel_starmap(sweep, tasks, jobs) for T in block], float)
+def _levels(sweep, seed: int, trials, jobs: int, start: float, top: float, *params):
+    """Yield ``(level, times)`` at the levels ``min(start * 2**j, top)``, j = 0, 1, ...,
+    until ``top`` or every seed crosses: one array, updated in place, of the crossing
+    times of ``trials`` in order, inf while a seed has not crossed. Each level sweeps
+    the seeds still at inf by ``sweep(seed, block, level, *params)``, one pool task
+    per block of at most ``_BLOCK`` seeds, and ``jobs`` blocks or more."""
+    trials, times = np.asarray(trials), np.full(len(trials), math.inf)
+    level = min(start, top)
+    while True:
+        pending = np.flatnonzero(np.isinf(times))
+        size = max(1, min(_BLOCK, -(-len(pending) // jobs)))
+        tasks = [(seed, trials[pending[lo:lo + size]], level, *params)
+                 for lo in range(0, len(pending), size)]
+        times[pending] = [T for block in parallel_starmap(sweep, tasks, jobs) for T in block]
+        yield level, times
+        if level == top or not np.isinf(times).any():
+            return
+        level = min(2.0 * level, top)
 
 
 def _probe(probes: list, times: np.ndarray, volume: float, value: float, at=None) -> float:
@@ -254,17 +246,19 @@ def crossing_probability(kind: str, intensities, r: float, L: float, trials: int
         queries = [(float(lam), float(mu)) for lam, mu in intensities]
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    volume = Region("box", L, d).volume
     for value in [v for query in queries for v in query if v is not None]:
         _require_finite(intensity=value)
         if value < 0:
             raise ValueError("intensities must be nonnegative")
-    volume = Region("box", L, d).volume
+        # a sweep samples only the levels it needs, so the probes are checked here
+        _require_budget(value * volume, "point")
     times = {}
     for lam in dict.fromkeys(lam for lam, _ in queries):
         top = max(value for key, value in queries if key == lam)
-        sweep, *args = ((one_type_crossing_times, (2.0 * r)**-d) if lam is None
-                        else (ab_crossing_times, lam, r**-d))
-        times[lam] = _swept(sweep, seed, range(trials), jobs, *args, top, r, L, d)
+        sweep, start, *args = ((one_type_crossing_times, (2.0 * r)**-d) if lam is None
+                               else (ab_crossing_times, r**-d, lam))
+        *_, (_, times[lam]) = _levels(sweep, seed, range(trials), jobs, start, top, *args, r, L, d)
     probes = []
     for lam, value in queries:
         _probe(probes, times[lam], volume, value)
@@ -294,11 +288,13 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
     if not 0 <= low < high:
         raise ValueError("bracket must satisfy 0 <= low < high")
 
-    # every probe lies in [low, high]
-    times = _swept(one_type_crossing_times, seed, range(trials), jobs, (2.0 * r)**-d, high, r,
-                   L, d)
+    volume = Region("box", L, d).volume
+    # every probe lies in [low, high]; a sweep samples only the levels it needs
+    _require_budget(high * volume, "point")
+    *_, (_, times) = _levels(one_type_crossing_times, seed, range(trials), jobs,
+                             (2.0 * r)**-d, high, r, L, d)
     probes = []
-    probe = partial(_probe, probes, times, Region("box", L, d).volume)
+    probe = partial(_probe, probes, times, volume)
     p_low, p_high = probe(low), probe(high)
     if p_low >= target or p_high < target:
         raise EstimationError(
@@ -317,14 +313,12 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
                   jobs: int = 1) -> CriticalEstimate:
     """Bisection estimate of the critical B intensity at fixed A intensity.
 
-    First evaluates the dense-B limit proxy, which dominates every finite B
-    intensity seed-by-seed; when even the limit fails to reach the target
-    crossing probability a "no percolation detected" estimate is returned
-    without probing enormous B intensities (consistent with an infinite
-    critical value below the one-type critical intensity). Otherwise the
-    upper probe doubles from r^-d, clamped to ``mu_max``, until success, then
-    bisection runs to ``tol``; no percolation is reported once ``mu_max``
-    fails. Each level sweeps only the seeds still at inf whose dense-B limit crosses.
+    The dense-B limit proxy, which dominates every finite B intensity seed by
+    seed, is probed first; below the target (as below the one-type critical
+    intensity), no percolation is reported without probing enormous B
+    intensities. Otherwise the B levels double from r^-d up to ``mu_max``, each
+    sweeping the seeds whose limit crosses, until one reaches the target, and
+    bisection runs to ``tol``; no percolation is reported once ``mu_max`` fails.
     """
     _validate_geometry(r, L, trials, d)
     _require_finite(lam=lam)
@@ -345,22 +339,23 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
             probes=probes)
 
     # the dense-B limit is one-type crossing of the A pattern at lam
-    limit_times = _swept(one_type_crossing_times, seed, range(trials), jobs, lam, lam, r, L, d)
+    [(_, limit_times)] = _levels(one_type_crossing_times, seed, range(trials), jobs, lam, lam,
+                                 r, L, d)
     if _probe(probes, limit_times, volume, math.inf, at=lam) < target:
         return result(math.inf, (math.inf, math.inf), no_percolation=True)
 
     times = np.full(trials, math.inf)
     probe = partial(_probe, probes, times, volume)
-    low, high = 0.0, min(r**-d, mu_max)
-    while True:
-        # a seed with a finite time crossed at a lower level and keeps it; one
-        # whose dense-B limit does not cross at lam crosses at no finite mu
-        pending = np.flatnonzero((times == math.inf) & (limit_times < math.inf))
-        times[pending] = _swept(ab_crossing_times, seed, pending, jobs, lam, high, high, r, L, d)
+    # a seed whose dense-B limit does not cross at lam crosses at no finite mu
+    live = np.flatnonzero(limit_times < math.inf)
+    low = 0.0
+    for high, live_times in _levels(ab_crossing_times, seed, live, jobs, r**-d, mu_max, lam,
+                                    r, L, d):
+        times[live] = live_times
         if probe(high) >= target:
             break
-        if high == mu_max:
-            return result(math.inf, (high, math.inf), no_percolation=True)
-        low, high = high, min(2.0 * high, mu_max)
+        low = high
+    else:
+        return result(math.inf, (mu_max, math.inf), no_percolation=True)
     low, high = _bisect(low, high, tol, target, probe)
     return result(0.5 * (low + high), (low, high))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from abperc import Graph, PointPattern, Region, build_bipartite, radius_for_sqdist
-from abperc.percolation import ab_crossing_times, one_type_crossing_times
+from abperc.percolation import _levels, ab_crossing_times, one_type_crossing_times
 
 # property tests draw the same examples on every run, and a slow example on a
 # loaded machine is not reported as a deadline error
@@ -165,15 +165,17 @@ def _dense_g1_connected(d2, r):
 
 
 def one_type_crossing_time(seed, trial, start, top, r, L, d):
-    """Crossing time of one trial, swept as a block of one seed."""
-    (T,) = one_type_crossing_times(seed, [trial], start, top, r, L, d)
-    return T
+    """Crossing time of one trial, swept as a block of one seed at the levels
+    the driver doubles from ``start`` to ``top``."""
+    *_, (_, (T,)) = _levels(one_type_crossing_times, seed, [trial], 1, start, top, r, L, d)
+    return float(T)
 
 
 def ab_crossing_time(seed, trial, lam, start, top, r, L, d):
-    """B crossing time of one trial, swept as a block of one seed."""
-    (T,) = ab_crossing_times(seed, [trial], lam, start, top, r, L, d)
-    return T
+    """B crossing time of one trial, swept as a block of one seed at the levels
+    the driver doubles from ``start`` to ``top``."""
+    *_, (_, (T,)) = _levels(ab_crossing_times, seed, [trial], 1, start, top, lam, r, L, d)
+    return float(T)
 
 
 def site_related(u, v, t: float, epsilon: float) -> bool:

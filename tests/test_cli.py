@@ -81,6 +81,41 @@ class TestArgumentHandling:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
+    def test_over_budget_bracket_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the bracket's high end is checked before any seed is swept
+        def prefix(self, intensity):
+            raise AssertionError("a pattern was sampled before the budget check")
+
+        monkeypatch.setattr(CoupledSampler, "prefix", prefix)
+        code = run_cli(["percolate", "--bracket", "0.01,1e9", "--r", "1", "--L", "10",
+                        "--trials", "2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bracket", ["0.1", "0.1,0.2,0.3"])
+    def test_bracket_without_two_values_exits_1(self, tmp_path, capsys, bracket):
+        code = run_cli(["percolate", "--bracket", bracket, "--L", "8", "--trials", "2",
+                        "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abperc: error:") and "--bracket" in err and "lo,hi" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["percolate", "--intensities", ",", "--L", "8", "--trials", "2"], "--intensities"),
+        (["percolate", "--intensities", "", "--L", "8", "--trials", "2"], "--intensities"),
+        (["lln", "--n", ",", "--trials", "1"], "--n"),
+        (["lln", "--n", "100", "--tau", ",", "--trials", "1"], "--tau"),
+        (["mindeg", "--n", "100", "--alpha", ",", "--trials", "1"], "--alpha"),
+    ], ids=["intensities-comma", "intensities-empty", "lln-n", "lln-tau", "mindeg-alpha"])
+    def test_empty_list_flag_exits_1(self, tmp_path, capsys, argv, flag):
+        code = run_cli([*argv, "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abperc: error:") and flag in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("subcommand", ["lln", "mindeg"])
     def test_over_budget_sample_size_exits_1(self, tmp_path, capsys, monkeypatch, subcommand):
         # refused before any event time beyond the first block is drawn

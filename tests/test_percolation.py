@@ -15,6 +15,7 @@ from abperc import (
 )
 from abperc import percolation
 from abperc.percolation import (
+    _levels,
     ab_crossing_times,
     ab_crossing_trial,
     dense_b_limit_trial,
@@ -120,6 +121,24 @@ class TestEstimateLambdaC:
         assert [(p.value, p.successes) for p in a.probes] == \
             [(p.value, p.successes) for p in b.probes]
 
+    def test_each_trial_swept_up_to_its_crossing_level(self, monkeypatch):
+        # estimate_lambda_c sweeps from (2r)**-2 = 0.25 up to the default high end 2.0
+        r, L, trials, seed = 1.0, 12.0, 40, 3
+        levels = [0.25, 0.5, 1.0, 2.0]
+        times = one_type_crossing_times(seed, range(trials), levels[-1], r, L, 2)
+        crossed = [next(v for v in levels if T <= v * L * L) for T in times]
+        assert len(set(crossed)) > 1
+        swept = []
+
+        def spy(seed, block, level, *params):
+            swept.extend((int(t), level) for t in block)
+            return one_type_crossing_times(seed, block, level, *params)
+
+        monkeypatch.setattr(percolation, "one_type_crossing_times", spy)
+        estimate_lambda_c(r, L, trials, 0.05, seed, jobs=1)
+        for t in range(trials):
+            assert [v for u, v in swept if u == t] == [v for v in levels if v <= crossed[t]]
+
 
 class TestEstimateMuC:
     def test_subcritical_reports_no_percolation(self):
@@ -153,7 +172,7 @@ class TestEstimateMuC:
 
         monkeypatch.setattr(percolation, "ab_crossing_times", spy)
         est = estimate_mu_c(1.0, lam, L, trials, 0.1, seed, jobs=1)
-        limit = one_type_crossing_times(seed, range(trials), lam, lam, 1.0, L, 2)
+        limit = one_type_crossing_times(seed, range(trials), lam, 1.0, L, 2)
         never = {t for t, T in enumerate(limit) if T == math.inf}
         assert not est.no_percolation and never and swept
         assert never.isdisjoint(swept)
@@ -238,9 +257,9 @@ class TestCrossingTime:
     def test_sampling_budget_guard(self):
         # raised before any point is sampled
         with pytest.raises(ResourceLimitError):
-            one_type_crossing_time(0, 0, 1.0, 1e9, 1.0, 10.0, 2)
+            one_type_crossing_time(0, 0, 1e9, 1e9, 1.0, 10.0, 2)
         with pytest.raises(ResourceLimitError):
-            ab_crossing_time(0, 0, 0.5, 1.0, 1e9, 1.0, 10.0, 2)
+            ab_crossing_time(0, 0, 0.5, 1e9, 1e9, 1.0, 10.0, 2)
         with pytest.raises(ResourceLimitError):
             ab_crossing_time(0, 0, 1e9, 1.0, 1.0, 1.0, 10.0, 2)
 
@@ -253,12 +272,14 @@ class TestBlockSweep:
            L=st.sampled_from([4.0, 8.0, 12.0]), d=st.sampled_from([2, 3]),
            lam=st.floats(0.02, 1.5), top=st.floats(0.05, 3.0), halvings=st.integers(0, 12))
     def test_block_matches_blocks_of_one(self, seed, trials, L, d, lam, top, halvings):
+        # at --jobs 1, the driver sweeps up to 8 pending seeds as one block
         start = top * 2.0**-halvings
-        assert one_type_crossing_times(seed, trials, start, top, 1.0, L, d) == \
+        *_, (_, times) = _levels(one_type_crossing_times, seed, trials, 1, start, top, 1.0, L, d)
+        assert times.tolist() == \
             [one_type_crossing_time(seed, t, start, top, 1.0, L, d) for t in trials]
-        assert ab_crossing_times(seed, trials, lam, start, top, 1.0, L, d) == \
+        *_, (_, times) = _levels(ab_crossing_times, seed, trials, 1, start, top, lam, 1.0, L, d)
+        assert times.tolist() == \
             [ab_crossing_time(seed, t, lam, start, top, 1.0, L, d) for t in trials]
-
 
 class TestEstimatorsMatchTrials:
     """Every probe an estimator logs is the count of its direct per-trial
