@@ -9,6 +9,7 @@ exit, on an exception too. A call outside every scope opens its own.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -46,6 +47,7 @@ def parallel_starmap(fn, tasks, jobs: int = 1) -> list:
     with pool_scope():
         pools = _pools.get()
         if jobs not in pools:
-            pools[jobs] = ProcessPoolExecutor(max_workers=jobs)
+            # all forked at the first map: workers beyond the CPUs add no speed
+            pools[jobs] = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
         chunk = max(1, len(tasks) // (4 * jobs))
         return list(pools[jobs].map(fn, *zip(*tasks), chunksize=chunk))

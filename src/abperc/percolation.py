@@ -17,8 +17,9 @@ comparison on one float64 array of per-seed times (:func:`_probe`). One driver,
 :func:`_levels`, fills the array level-major: it doubles the intensity up to a
 top and at each level sweeps only the seeds not yet crossed, in blocks, one
 pool task and one kernel call (:func:`abperc.geomgraph.crossing_steps`) per
-block. The estimators run in one :func:`abperc.parallel.pool_scope`, so all the
-levels of an estimate share one process pool, forked once.
+block; in a bisection, a pilot block picks the level the other seeds start at.
+The estimators run in one :func:`abperc.parallel.pool_scope`, so all the levels
+of an estimate share one process pool, forked once.
 """
 
 from __future__ import annotations
@@ -140,24 +141,39 @@ def ab_crossing_times(seed: int, trials, mu: float, lam: float, r: float, L: flo
     return _sweep([CoupledSampler(region, seed, "B", path=(t,)) for t in trials], mu, graph_of)
 
 
-def _levels(sweep, seed: int, trials, jobs: int, start: float, top: float, *params):
+def _levels(sweep, seed: int, trials, jobs: int, start: float, top: float, *params,
+            target: float | None = None):
     """Yield ``(level, times)`` at the levels ``min(start * 2**j, top)``, j = 0, 1, ...,
     until ``top`` or every seed crosses: one array, updated in place, of the crossing
-    times of ``trials`` in order, inf while a seed has not crossed. Each level sweeps
-    the seeds still at inf by ``sweep(seed, block, level, *params)``, one pool task
-    per block of at most ``_BLOCK`` seeds, and ``jobs`` blocks or more."""
+    times of ``trials`` in order, inf while a seed has not crossed. A sweep at a level
+    covers the seeds still at inf by ``sweep(seed, block, level, *params)``, one pool
+    task per block of at most ``_BLOCK`` seeds, and ``jobs`` blocks or more. Given a
+    ``target``, the first ``_BLOCK`` seeds climb the levels until that share of them
+    crosses, at s, before the others are swept at s and the levels up to s yielded:
+    a seed still at inf after s has ``T > s * volume``, so no level up to s counts it."""
     trials, times = np.asarray(trials), np.full(len(trials), math.inf)
-    level = min(start, top)
-    while True:
-        pending = np.flatnonzero(np.isinf(times))
+
+    def sweep_at(level, begin=0, end=None):
+        pending = begin + np.flatnonzero(np.isinf(times[begin:end]))
         size = max(1, min(_BLOCK, -(-len(pending) // jobs)))
         tasks = [(seed, trials[pending[lo:lo + size]], level, *params)
                  for lo in range(0, len(pending), size)]
         times[pending] = [T for block in parallel_starmap(sweep, tasks, jobs) for T in block]
+
+    levels, pilot = [min(start, top)], 0 if target is None else _BLOCK
+    while pilot:
+        sweep_at(levels[-1], 0, pilot)
+        if levels[-1] == top or np.isfinite(times[:pilot]).mean() >= target:
+            break
+        levels.append(min(2.0 * levels[-1], top))
+    if len(trials) > pilot:
+        sweep_at(levels[-1], pilot)
+    for level in levels:
         yield level, times
-        if level == top or not np.isinf(times).any():
-            return
+    while level < top and np.isinf(times).any():
         level = min(2.0 * level, top)
+        sweep_at(level)
+        yield level, times
 
 
 def _probe(probes: list, times: np.ndarray, volume: float, value: float, at=None) -> float:
@@ -292,7 +308,7 @@ def estimate_lambda_c(r: float, L: float, trials: int, tol: float, seed: int,
     # every probe lies in [low, high]; a sweep samples only the levels it needs
     _require_budget(high * volume, "point")
     *_, (_, times) = _levels(one_type_crossing_times, seed, range(trials), jobs,
-                             (2.0 * r)**-d, high, r, L, d)
+                             (2.0 * r)**-d, high, r, L, d, target=target)
     probes = []
     probe = partial(_probe, probes, times, volume)
     p_low, p_high = probe(low), probe(high)
@@ -317,8 +333,9 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     seed, is probed first; below the target (as below the one-type critical
     intensity), no percolation is reported without probing enormous B
     intensities. Otherwise the B levels double from r^-d up to ``mu_max``, each
-    sweeping the seeds whose limit crosses, until one reaches the target, and
-    bisection runs to ``tol``; no percolation is reported once ``mu_max`` fails.
+    sweeping the seeds whose limit crosses (from a level a pilot block of them
+    picks, see :func:`_levels`), until one reaches the target, and bisection runs
+    to ``tol``; no percolation is reported once ``mu_max`` fails.
     """
     _validate_geometry(r, L, trials, d)
     _require_finite(lam=lam)
@@ -350,7 +367,7 @@ def estimate_mu_c(r: float, lam: float, L: float, trials: int, tol: float, seed:
     live = np.flatnonzero(limit_times < math.inf)
     low = 0.0
     for high, live_times in _levels(ab_crossing_times, seed, live, jobs, r**-d, mu_max, lam,
-                                    r, L, d):
+                                    r, L, d, target=target):
         times[live] = live_times
         if probe(high) >= target:
             break

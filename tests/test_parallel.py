@@ -88,3 +88,26 @@ def test_failed_cli_run_leaves_no_worker(pools, tmp_path):
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_pool_capped_at_the_cpu_count(monkeypatch, cpus, workers):
+    # a pool forks all its workers at its first map, so jobs beyond the CPUs would
+    # only fork more processes; the recorder stands in for the pool and forks none
+    made = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+    assert parallel_starmap(abs, [(-1,), (2,), (-3,)], 10**6) == [1, 2, 3]
+    assert made == [workers]
+    assert multiprocessing.active_children() == []

@@ -1,5 +1,7 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from abperc import (
     wilson_interval,
 )
 from abperc import percolation
+from abperc.parallel import parallel_starmap
 from abperc.percolation import (
     _levels,
     ab_crossing_times,
@@ -122,12 +125,17 @@ class TestEstimateLambdaC:
             [(p.value, p.successes) for p in b.probes]
 
     def test_each_trial_swept_up_to_its_crossing_level(self, monkeypatch):
-        # estimate_lambda_c sweeps from (2r)**-2 = 0.25 up to the default high end 2.0
+        # estimate_lambda_c climbs from (2r)**-2 = 0.25 to the default high end 2.0.
+        # The pilot, the first 8 trials, climbs until half of it crosses, at s; every
+        # other trial is first swept at s. No trial is swept twice at one level, and
+        # none above the level where it crosses, unless that is below s
         r, L, trials, seed = 1.0, 12.0, 40, 3
         levels = [0.25, 0.5, 1.0, 2.0]
         times = one_type_crossing_times(seed, range(trials), levels[-1], r, L, 2)
         crossed = [next(v for v in levels if T <= v * L * L) for T in times]
-        assert len(set(crossed)) > 1
+        s = sorted(crossed[:8])[3]
+        # some trials cross below s, some above
+        assert s == 0.5 and {c < s for c in crossed[8:]} == {True, False}
         swept = []
 
         def spy(seed, block, level, *params):
@@ -137,7 +145,9 @@ class TestEstimateLambdaC:
         monkeypatch.setattr(percolation, "one_type_crossing_times", spy)
         estimate_lambda_c(r, L, trials, 0.05, seed, jobs=1)
         for t in range(trials):
-            assert [v for u, v in swept if u == t] == [v for v in levels if v <= crossed[t]]
+            first = levels[0] if t < 8 else s
+            assert [v for u, v in swept if u == t] == \
+                [v for v in levels if first <= v <= max(crossed[t], first)]
 
 
 class TestEstimateMuC:
@@ -176,6 +186,33 @@ class TestEstimateMuC:
         never = {t for t, T in enumerate(limit) if T == math.inf}
         assert not est.no_percolation and never and swept
         assert never.isdisjoint(swept)
+
+    def test_each_live_trial_swept_up_to_its_crossing_level(self, monkeypatch):
+        # the B levels climb from r**-2 = 1. The pilot, the first 8 live trials, climbs
+        # until half of it crosses, at s; every other live trial is first swept at s.
+        # The probe at s reaches the target, so no trial is swept above s
+        lam, r, L, trials, seed = 0.45, 1.0, 12.0, 40, 5
+        levels = [1.0, 2.0, 4.0, 8.0]
+        limit = one_type_crossing_times(seed, range(trials), lam, r, L, 2)
+        live = [t for t, T in enumerate(limit) if T < math.inf]
+        times = ab_crossing_times(seed, live, levels[-1], lam, r, L, 2)
+        crossed = [next((v for v in levels if T <= v * L * L), math.inf) for T in times]
+        s = sorted(crossed[:8])[3]
+        assert s == 4.0 and sum(c <= s for c in crossed) >= 0.5 * trials
+        assert any(c < s for c in crossed[8:]) and any(c > s for c in crossed)
+        swept = []
+
+        def spy(seed, block, level, *params):
+            swept.extend((int(t), level) for t in block)
+            return ab_crossing_times(seed, block, level, *params)
+
+        monkeypatch.setattr(percolation, "ab_crossing_times", spy)
+        estimate_mu_c(r, lam, L, trials, 0.1, seed, jobs=1)
+        assert {t for t, _ in swept} == set(live)
+        for i, t in enumerate(live):
+            first = levels[0] if i < 8 else s
+            assert [v for u, v in swept if u == t] == \
+                [v for v in levels if first <= v <= min(max(crossed[i], first), s)]
 
     def test_one_type_margin_convention(self):
         # one-type crossing uses the connection distance (2r) as margin
@@ -280,6 +317,62 @@ class TestBlockSweep:
         *_, (_, times) = _levels(ab_crossing_times, seed, trials, 1, start, top, lam, 1.0, L, d)
         assert times.tolist() == \
             [ab_crossing_time(seed, t, lam, start, top, 1.0, L, d) for t in trials]
+
+
+class TestPilotStart:
+    """The level s at which a pilot block starts the other seeds changes where they
+    are swept, never a count that a level yields, whether s was too high or too low."""
+
+    TRIALS, LADDER = 16, [1.0, 2.0, 4.0, 8.0]
+
+    def run(self, seed, lam, L, target):
+        """Check a pilot-started B sweep, read as ``estimate_mu_c`` reads it, against
+        the per-seed oracles swept from 1; return how s compares with the first level
+        whose count reaches the target: "over", "under" or "exact"."""
+        volume, top = L * L, self.LADDER[-1]
+        oracle = np.array([ab_crossing_time(seed, t, lam, 1.0, top, 1.0, L, 2)
+                           for t in range(self.TRIALS)])
+
+        def reached(times, v):
+            return np.mean(times <= v * volume) >= target
+
+        s = next((v for v in self.LADDER if reached(oracle[:8], v)), top)
+        full = next((v for v in self.LADDER if reached(oracle, v)), math.inf)
+        maps, yielded = [], []
+
+        def counted(fn, tasks, jobs):
+            [level] = {task[2] for task in tasks}
+            maps.append(level)
+            return parallel_starmap(fn, tasks, jobs)
+
+        with mock.patch.object(percolation, "parallel_starmap", counted):
+            for v, times in _levels(ab_crossing_times, seed, range(self.TRIALS), 1, 1.0, top,
+                                    lam, 1.0, L, 2, target=target):
+                yielded.append(v)
+                assert np.count_nonzero(times <= v * volume) == \
+                    np.count_nonzero(oracle <= v * volume)
+                if reached(times, v):
+                    break
+        stop = min(full, top)
+        assert yielded == [v for v in self.LADDER if v <= stop]
+        # one map per level up to s for the pilot, one at s for the others, one per
+        # level above s: when s is too low, one map more than the unit start makes
+        assert sorted(maps) == sorted([v for v in self.LADDER if v <= max(s, stop)] + [s])
+        return "over" if full < s else "under" if full > s else "exact"
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.4, 1.5), L=st.floats(8.0, 15.0),
+           target=st.floats(0.1, 1.0))
+    def test_counts_match_unit_start(self, seed, lam, L, target):
+        self.run(seed, lam, L, target)
+
+    @pytest.mark.parametrize("case, seed, lam, L, target", [
+        ("over", 3, 0.9, 10.0, 0.5),
+        ("under", 2, 0.9, 10.0, 0.5),
+    ])
+    def test_wrong_guess(self, case, seed, lam, L, target):
+        assert self.run(seed, lam, L, target) == case
+
 
 class TestEstimatorsMatchTrials:
     """Every probe an estimator logs is the count of its direct per-trial
