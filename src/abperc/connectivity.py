@@ -12,11 +12,11 @@ degree radius and, when that leaves A disconnected, one bottleneck over its
 components.
 
 The pairs are streamed: B points are queried against one k-d tree over the A
-points in blocks of ``_BLOCK`` points, in their own tree's leaf order. The
-minimum-degree radius needs only each B point's two nearest A distances,
-which a block has in full, so it folds across blocks. Beyond one block's
-query, a pass holds only the pairs within the cap in compact form (16 bytes
-each) until it knows that radius; then it keeps those within it.
+points in blocks of ``_BLOCK`` points, in the order of their cells in a coarse
+grid. The minimum-degree radius needs only each B point's two nearest A
+distances, which a block has in full, so it folds across blocks. Beyond one
+block's query, a pass holds only the pairs within the cap in compact form (16
+bytes each) until it knows that radius; then it keeps those within it.
 """
 
 from __future__ import annotations
@@ -123,11 +123,14 @@ def _pair_blocks(X, Y):
     block of ``_BLOCK`` Y points at a time.
 
     ``block`` holds the Y indices of the block and ``yi`` indexes it. A block
-    lists every X neighbour of its Y points, and the Y points go in their k-d
-    tree's leaf order, so that each block covers a compact patch of the region.
+    lists every X neighbour of its Y points, and the Y points go in the order of
+    their cells in a grid of about one block per cell, so each block is compact.
     """
     grid = NeighborGrid(X.points, X.region)
-    order = NeighborGrid(Y.points, Y.region).tree.indices
+    per_axis = max(1, round((len(Y) / _BLOCK) ** (1 / Y.region.dim)))
+    # a coordinate just below side may scale up to per_axis itself
+    cells = np.minimum((Y.points * (per_axis / Y.region.side)).astype(np.int64), per_axis - 1)
+    order = np.argsort(cells @ per_axis ** np.arange(Y.region.dim), kind="stable")
 
     def blocks(r):
         for lo in range(0, len(order), _BLOCK):
@@ -200,6 +203,8 @@ def lln_sweep(n_values, tau_values, trials: int, seed: int, jobs: int = 1):
     tau_values = [float(t) for t in tau_values]
     if any(n < 2 for n in n_values):
         raise ValueError("all n values must be at least 2")
+    if not all(0 < tau < math.inf for tau in tau_values):
+        raise ValueError(f"tau must be finite and positive, got {tau_values}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     tasks = [(seed, ti, tau, trial, n_values)
@@ -285,6 +290,8 @@ def min_degree_diagnostic(n: float, tau: float, alpha: float, trials: int, seed:
     Returns (fraction, indicators); trials == 0 yields (nan, []).
     """
     r_n = radius_for_alpha(n, alpha)
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if trials == 0:

@@ -5,11 +5,11 @@ Adjacency uses the closed-ball rule: an edge is present iff the (region
 metric) distance is <= the connection radius, compared on squared distances
 with no epsilon. Every graph is one fixed-radius pair query on k-d trees
 (``scipy.spatial.cKDTree``, periodic on a torus) whose candidates are
-re-checked with that exact predicate. Every threshold question (the step at
-which a box is crossed, the radius at which the shared-neighbor graph
-connects) is answered by one spanning-forest kernel, :func:`bottleneck`, for
-many independent terminal groups at once, such as a block of graphs
-numbered into one disjoint union.
+re-checked with that predicate on ``Region.sqdist``, one coordinate column at
+a time. Every threshold question (the step at which a box is crossed, the
+radius at which the shared-neighbor graph connects) is answered by one
+spanning-forest kernel, :func:`bottleneck`, for many independent terminal
+groups at once, such as a block of graphs numbered into one disjoint union.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _within(region: Region, a: np.ndarray, b: np.ndarray, i, j, radius: float):
     checked in chunks, so that the candidates' coordinates are never all held at once."""
     sqd = np.empty(len(i))
     for lo in range(0, len(i), _CHUNK):
-        sqd[lo:lo + _CHUNK] = region.sqdist(a[i[lo:lo + _CHUNK]], b[j[lo:lo + _CHUNK]])
+        sqd[lo:lo + _CHUNK] = region.sqdist(a, b, i[lo:lo + _CHUNK], j[lo:lo + _CHUNK])
     keep = sqd <= radius * radius
     return i[keep], j[keep], sqd[keep]
 

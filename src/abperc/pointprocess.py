@@ -57,12 +57,15 @@ class Region:
         diag = self.side * math.sqrt(self.dim)
         return diag / 2.0 if self.kind == "torus" else diag
 
-    def sqdist(self, a, b) -> np.ndarray:
-        """Squared distance between points, broadcasting over leading axes."""
-        delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        if self.kind == "torus":
-            delta = np.minimum(delta, self.side - delta)
-        return np.sum(delta * delta, axis=-1)
+    def sqdist(self, a, b, i=..., j=...) -> np.ndarray:
+        """Squared distance of a and b (broadcast), or of a[i] and b[j], summed in axis order."""
+        a, b, total = np.asarray(a, dtype=float), np.asarray(b, dtype=float), None
+        for k in range(self.dim):
+            delta = np.abs(a[..., k][i] - b[..., k][j])
+            if self.kind == "torus":
+                delta = np.minimum(delta, self.side - delta)
+            total = delta * delta if total is None else total + delta * delta
+        return total
 
 
 @dataclass(frozen=True)

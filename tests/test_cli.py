@@ -136,6 +136,17 @@ class TestArgumentHandling:
         assert "alpha" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["lln", "--n", "100", "--trials", "1"],
+        ["mindeg", "--n", "200", "--alpha", "0.5", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_non_positive_or_non_finite_tau_exits_1(self, tmp_path, capsys, argv, tau):
+        code = run_cli([*argv, f"--tau={tau}", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "tau" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--lambda", "nan"],
                                        ["--lambda-c", "nan"], ["--r", "nan"], ["--r", "inf"]])
     def test_bound_non_finite_parameter_exits_1(self, tmp_path, capsys, flags):

@@ -20,8 +20,8 @@ from abperc import (
 )
 from abperc.connectivity import (ThresholdSample, radius_for_alpha, summarize_thresholds,
                                  threshold_trial)
-from abperc.geomgraph import bipartite_edges
-from conftest import build_g1, min_degree, random_pattern, rho_oracle
+from abperc.geomgraph import NeighborGrid, _kdtree, bipartite_edges
+from conftest import brute_force_pairs, build_g1, min_degree, random_pattern, rho_oracle
 
 
 def min_degree_sqdist(X, Y):
@@ -205,6 +205,78 @@ class TestRhoThreshold:
         assert is_connected_g1(X, Y, rho)
 
 
+def pair_blocks_in(order_of):
+    """``connectivity._pair_blocks`` with the Y points in the order ``order_of(Y)``."""
+    def pair_blocks(X, Y):
+        grid, order = NeighborGrid(X.points, X.region), order_of(Y)
+
+        def blocks(r):
+            for lo in range(0, len(order), connectivity._BLOCK):
+                block = order[lo:lo + connectivity._BLOCK]
+                yi, xi, sqd = grid.pairs_against(Y.points[block], r)
+                yield xi, yi, sqd, block
+
+        return blocks
+
+    return pair_blocks
+
+
+def leaf_order(Y):
+    return _kdtree(Y.points, Y.region).indices
+
+
+class TestPairBlocks:
+    # blocks of one point and 5**d Y points, one per cell, make a grid of 5
+    # cells per axis, in which nextafter(6.5, 0) * (5 / 6.5) rounds up to 5,
+    # past the top cell; the points of each outer layer sit on its outer face
+    @pytest.mark.parametrize("kind", ["box", "torus"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_y_point_once_in_cell_order(self, monkeypatch, kind, d):
+        side, r = 6.5, 2.0
+        region, top = Region(kind, side, d), math.nextafter(side, 0.0)
+        assert int(top * (5 / side)) == 5
+        rng = np.random.default_rng(d)
+        cell = np.indices((5,) * d).reshape(d, -1).T
+        ys = (cell + rng.uniform(0.1, 0.9, cell.shape)) * (side / 5)
+        ys[cell == 0], ys[cell == 4] = 0.0, top
+        X, Y = PointPattern(region, rng.random((8, d)) * side), PointPattern(region, ys)
+        monkeypatch.setattr(connectivity, "_BLOCK", 1)
+        blocks = list(connectivity._pair_blocks(X, Y)(r))
+        order = np.concatenate([block for *_, block in blocks])
+        assert sorted(order.tolist()) == list(range(len(Y)))
+        cells = np.minimum((ys[order] * (5 / side)).astype(int), 4)
+        assert np.all(np.diff(cells @ 5 ** np.arange(d)) >= 0)
+        for xi, yi, sqd, block in blocks:
+            want = brute_force_pairs(region, Y.points[block], X.points, r)
+            assert sorted(zip(yi.tolist(), xi.tolist())) == want
+            assert np.array_equal(sqd, region.sqdist(Y.points[block][yi], X.points[xi]))
+
+    # the min-degree fold takes minima and component labels ignore edge order,
+    # so the threshold is the same float whatever order the blocks come in
+    @given(instance=threshold_instances(), block=st.integers(1, 3), seed=st.integers(0, 2**32))
+    @settings(max_examples=100)
+    def test_threshold_does_not_depend_on_block_order(self, instance, block, seed):
+        X, Y, cap = instance
+        with mock.patch.object(connectivity, "_BLOCK", block):
+            want = rho_threshold(X, Y, initial_cap=cap)
+            for order_of in (lambda Y: np.random.default_rng(seed).permutation(len(Y)),
+                             leaf_order):
+                with mock.patch.object(connectivity, "_pair_blocks", pair_blocks_in(order_of)):
+                    assert rho_threshold(X, Y, initial_cap=cap) == want
+
+    @pytest.mark.parametrize("kind", ["box", "torus"])
+    def test_threshold_does_not_depend_on_block_order_at_scale(self, monkeypatch, kind):
+        region = Region(kind, 1.0, 2)
+        rng = np.random.default_rng(13)
+        X = PointPattern(region, rng.random((300, 2)))
+        Y = PointPattern(region, rng.random((1200, 2)))
+        monkeypatch.setattr(connectivity, "_BLOCK", 50)
+        want = rho_threshold(X, Y)
+        for order_of in (lambda Y: rng.permutation(len(Y)), leaf_order):
+            monkeypatch.setattr(connectivity, "_pair_blocks", pair_blocks_in(order_of))
+            assert rho_threshold(X, Y) == want
+
+
 class TestLlnStatistic:
     def test_zero_rho(self):
         assert lln_statistic(100.0, 0.0) == 0.0
@@ -260,6 +332,13 @@ class TestLlnSweep:
         with pytest.raises(ValueError, match="trials"):
             lln_sweep([100.0], [1.0], -3, seed=0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tau_rejected(self, tau):
+        # before any trial: even a run of no trials is refused
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match="tau"):
+                lln_sweep([100.0], [1.0, tau], trials, seed=0)
+
 
 class TestMinDegreeDiagnostic:
     def test_radius_solves_statistic(self):
@@ -277,6 +356,12 @@ class TestMinDegreeDiagnostic:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             min_degree_diagnostic(100.0, 1.0, 0.5, -3, seed=0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tau_rejected(self, tau):
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match="tau"):
+                min_degree_diagnostic(100.0, tau, 0.5, trials, seed=0)
 
     def test_fast_indicator_matches_graph_min_degree(self, unit_square, monkeypatch):
         # the default block, and blocks of 1 and 3 Y points that split every pattern

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from abperc import (
     components,
     crossing_exists,
     crossing_steps,
+    geomgraph,
     is_connected_g1,
     radius_for_sqdist,
 )
-from abperc.geomgraph import bottleneck
+from abperc.geomgraph import _within, bottleneck
 from conftest import (
     bfs_components,
     bipartite_adjacency,
@@ -134,6 +136,39 @@ class TestNeighborGrid:
         graph = build_unigraph(PointPattern(region, a), radius)
         got = sorted(zip(graph.edges_u.tolist(), graph.edges_v.tolist()))
         assert got == brute_force_self_pairs(region, a, radius)
+
+
+class TestWithin:
+    # b holds copies of a's points moved along an axis, across the wrap on a
+    # torus, beside points at 0 and just below side; chunks of 7 candidates
+    # split every check
+    @given(data=st.data(), kind=st.sampled_from(["box", "torus"]), d=st.sampled_from([1, 2, 3]),
+           side=st.sampled_from([1.0, 4.0, 6.5]))
+    @settings(max_examples=300)
+    def test_sqdist_is_region_sqdist_bit_for_bit(self, data, kind, d, side):
+        region = Region(kind, side, d)
+        a = adversarial_points(data, region)
+        shift = data.draw(st.sampled_from([side / 8, side / 2, side * (1 - 1e-15)])
+                          | st.floats(0.0, side, exclude_max=True))
+        moved, axis = a.copy(), data.draw(st.integers(0, d - 1))
+        moved[:, axis] = (moved[:, axis] + shift) % side
+        b = np.vstack([adversarial_points(data, region), moved])
+        i, j = (k.ravel() for k in np.meshgrid(np.arange(len(a)), np.arange(len(b)),
+                                               indexing="ij"))
+        radius = data.draw(st.sampled_from([side / 8, side / 4, math.sqrt(2) * side / 8, side])
+                           | st.floats(0.0, side))
+        with mock.patch.object(geomgraph, "_CHUNK", 7):
+            ki, kj, sqd = _within(region, a, b, i, j, radius)
+        full = region.sqdist(a[i], b[j])
+        # the whole-row formula sums the per-axis squares in the same order
+        delta = np.abs(a[i] - b[j])
+        if kind == "torus":
+            delta = np.minimum(delta, side - delta)
+        assert np.array_equal(full, np.sum(delta * delta, axis=-1))
+        keep = full <= radius * radius
+        assert np.array_equal(ki, i[keep]) and np.array_equal(kj, j[keep])
+        assert np.array_equal(sqd, full[keep])
+        assert np.array_equal(sqd, region.sqdist(a, b, ki, kj))
 
 
 class TestBipartite:
