@@ -6,23 +6,23 @@ the quantity whose large-n limit is max(1/tau, 1/4) in two dimensions. No
 radius below the minimum-degree one (every A point has a shared neighbor)
 connects, and w.h.p. it does (Penrose, Ann. Appl. Probab. 7:340, 1997).
 
-The threshold is read off the bipartite A-B graph, whose paths x-y-x' are
-the shared-neighbor edges: one connected-components pass at the minimum-
-degree radius and, when that leaves A disconnected, one bottleneck over its
-components.
+The threshold is read off star edges on the A points, whose components are
+those of the A points in the bipartite A-B graph at every radius: one
+components pass at the minimum-degree radius and, when that leaves A
+disconnected, one bottleneck over its components.
 
 The pairs are streamed: B points are queried against one k-d tree over the A
 points in blocks of ``_BLOCK`` points, in the order of their cells in a coarse
-grid. The minimum-degree radius needs only each B point's two nearest A
-distances, which a block has in full, so it folds across blocks. Beyond one
-block's query, a pass holds only the pairs within the cap in compact form (16
-bytes each) until it knows that radius; then it keeps those within it.
+grid. A block makes the star edges of its B points in full. Beyond one block's
+query, a pass within a radius cap holds only its star edges (16 bytes each)
+until it knows the minimum-degree radius; then it keeps those within it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -31,8 +31,13 @@ from .parallel import parallel_starmap
 from .pointprocess import CoupledSampler, PointPattern, Region
 
 # Y points queried per block in a cap pass: one block's pairs and coordinates
-# are the pass's working set beside the compact pairs it keeps
-_BLOCK = 1 << 14
+# are the pass's working set beside the star edges it keeps
+_BLOCK = 1 << 13
+
+# the first cap and each retry's factor over the last: the first pass fails in
+# 48% (tau=4), 17% (16) and 4% (1) of box trials at n=1e3, 23% (4) and 5% (16)
+# at n=1e4, while a cap sqrt(2) wider would hold twice the pairs in every pass
+_CAP_STEP = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -49,12 +54,13 @@ class ThresholdSample:
 def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = None) -> float:
     """Exact minimum r such that the shared-neighbor graph on X is connected.
 
-    Only the X-Y pairs within a radius cap, doubled until they connect X, are
-    generated, one block of Y points at a time. Their minimum-degree radius
-    rho_deg is exact; if one connected-components pass finds the graph at
-    rho_deg connected, that is the answer, else a second pass over the blocks
-    finds the :func:`~abperc.geomgraph.bottleneck` that joins the components
-    holding X points along the longer pairs between components.
+    Only the X-Y pairs within a radius cap, grown by sqrt(2) until they
+    connect X, are generated, one block of Y points at a time, and turned into
+    star edges on X. Their minimum-degree radius rho_deg is exact; if one
+    connected-components pass finds the star graph at rho_deg connected, that
+    is the answer, else a second pass over the blocks finds the
+    :func:`~abperc.geomgraph.bottleneck` that joins its components along the
+    heavier star edges between them.
     Returns 0 for at most one X point and +inf when Y is empty but X has two
     or more points.
     """
@@ -65,8 +71,10 @@ def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = 
         return 0.0
     if ny == 0:
         return math.inf
-    region = X.region
-    cap = initial_cap if initial_cap is not None else _default_cap(region, nx, ny)
+    region, cap = X.region, initial_cap
+    if cap is None:  # sqrt(2) times the expected threshold
+        cap = _CAP_STEP * math.sqrt(region.volume * math.log(nx + 2.0)
+                                    * max(1.0 / ny, 0.25 / nx) / math.pi)
     cap = min(max(cap, 1e-9), region.max_distance)
     while True:
         rho = _sweep_to_connectivity(X, Y, cap)
@@ -74,52 +82,45 @@ def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = 
             return rho
         if cap >= region.max_distance:
             raise AssertionError("sweep exhausted all pairs without connecting")
-        cap = min(cap * 2.0, region.max_distance)
-
-
-def _default_cap(region: Region, nx: int, ny: int) -> float:
-    # ~2x the expected threshold scale so the first pass usually suffices
-    scale = region.volume * math.log(nx + 2.0) * max(1.0 / ny, 0.25 / nx) / math.pi
-    return 2.0 * math.sqrt(scale)
+        cap = min(cap * _CAP_STEP, region.max_distance)
 
 
 def _sweep_to_connectivity(X, Y, cap):
     """One cap pass: the exact threshold if the pairs within ``cap`` connect X, else None."""
-    nx = len(X)
     blocks = _pair_blocks(X, Y)
-    # only compact pairs outlive their block: X index, global Y index, sqdist
-    link, kept = np.full(nx, np.inf), []
-    for xi, yi, sqd, block in blocks(cap):
-        _fold_min_degree(link, xi, yi, sqd, len(block))
-        kept.append((xi.astype(np.int32), block[yi].astype(np.int32), sqd))
+    # only the star edges outlive their block, as (int32, int32, float64)
+    link, kept = np.full(len(X), np.inf), []
+    for u, v, w in starmap(_star_edges, blocks(cap)):
+        np.minimum.at(link, u, w)
+        np.minimum.at(link, v, w)
+        kept.append((u, v, w))
     deg2 = float(link.max())
     if deg2 == math.inf:
         return None
     # no smaller threshold connects, since every X point needs a shared neighbor
     rho_deg = radius_for_sqdist(deg2)
-    for i, (xi, yi, sqd) in enumerate(kept):
-        within = sqd <= deg2
-        kept[i] = xi[within], yi[within]
-    xi, yi = (np.concatenate(side) for side in zip(*kept))
+    for i, (u, v, w) in enumerate(kept):
+        within = w <= deg2
+        kept[i] = u[within], v[within]
+    u, v = (np.concatenate(side) for side in zip(*kept))
     del kept
-    points = np.concatenate([X.points, Y.points])
-    labels, count = components(Graph(X.region, points, rho_deg, xi, yi + nx))
-    if np.all(labels[:nx] == labels[0]):
+    labels, count = components(Graph(X.region, X.points, rho_deg, u, v))
+    if count == 1:
         return rho_deg
-    # pairs within deg2 are merged already: join the components that hold X
-    # points along the longer pairs between components, the lightest per two
+    # edges within deg2 are merged already: join the components along the
+    # heavier star edges, the lightest per two components
     joins = []
-    for xi, yi, sqd, block in blocks(cap):
-        lx, ly = labels[xi], labels[nx + block[yi]]
-        rest = lx != ly
-        joins.append(_lightest(lx[rest], ly[rest], sqd[rest], count))
+    for u, v, w in starmap(_star_edges, blocks(cap)):
+        lu, lv = labels[u], labels[v]
+        rest = lu != lv
+        joins.append(_lightest(lu[rest], lv[rest], w[rest], count))
     a, b, w = _lightest(*(np.concatenate(part) for part in zip(*joins)), count)
-    w = bottleneck(count, a, b, w, [np.unique(labels[:nx])])[0]
+    w = bottleneck(count, a, b, w, [np.arange(count)])[0]
     return None if w == math.inf else radius_for_sqdist(w)
 
 
 def _pair_blocks(X, Y):
-    """A function of r yielding (xi, yi, sqd, block): the X-Y pairs within r, one
+    """A function of r yielding (yi, xi, sqd, block): the X-Y pairs within r, one
     block of ``_BLOCK`` Y points at a time.
 
     ``block`` holds the Y indices of the block and ``yi`` indexes it. A block
@@ -130,34 +131,35 @@ def _pair_blocks(X, Y):
     per_axis = max(1, round((len(Y) / _BLOCK) ** (1 / Y.region.dim)))
     # a coordinate just below side may scale up to per_axis itself
     cells = np.minimum((Y.points * (per_axis / Y.region.side)).astype(np.int64), per_axis - 1)
-    order = np.argsort(cells @ per_axis ** np.arange(Y.region.dim), kind="stable")
+    # cast to the smallest unsigned type (at most 16 bits in the budget), radix-sorted
+    keys = cells @ per_axis ** np.arange(Y.region.dim)
+    order = np.argsort(keys.astype(np.min_scalar_type(per_axis**Y.region.dim - 1)), kind="stable")
 
     def blocks(r):
         for lo in range(0, len(order), _BLOCK):
             block = order[lo:lo + _BLOCK]
-            yi, xi, sqd = grid.pairs_against(Y.points[block], r)
-            yield xi, yi, sqd, block
+            # unnamed: no frame holds these pairs while the next block is queried
+            yield (*grid.pairs_against(Y.points[block], r), block)
 
     return blocks
 
 
-def _fold_min_degree(link, xi, yi, sqd, ny):
-    """Lower each link[x] to the smallest squared radius at which one of the
-    given pairs gives x a shared neighbor.
+def _star_edges(yi, xi, sqd, block):
+    """Star edges (u, v, w) of one block's pairs: each Y point links a nearest X
+    neighbor u to each other X neighbor v at w = sqdist(v, y); u, v are int32.
 
-    The pairs must list every X neighbour of the Y points 0..ny-1 they name.
-    Pair (x, y) serves x from the larger of its own squared distance and y's
-    smallest to another X point. Folded over blocks that cover every Y point,
-    link.max() is the minimum-degree squared radius (+inf if some X point
-    never has a shared neighbor).
-    """
-    m1 = np.full(ny, np.inf)
+    The X points within any t of y are a prefix of its neighbors by distance
+    that holds u, so the edges of weight <= t join exactly them. x's lightest
+    edge is where it first has a shared neighbor (at u, y's second-smallest
+    distance, elsewhere its own); their largest is the minimum-degree squared
+    radius, +inf if some X point never has one."""
+    m1 = np.full(len(block), np.inf)
     np.minimum.at(m1, yi, sqd)
-    nearest = sqd == m1[yi]
-    # y's smallest to an X point not attaining m1; m1 itself if two attain it
-    m2 = np.where(np.bincount(yi[nearest], minlength=ny) >= 2, m1, np.inf)
-    np.minimum.at(m2, yi[~nearest], sqd[~nearest])
-    np.minimum.at(link, xi, np.where(nearest, m2[yi], sqd))
+    nearest = np.empty(len(block), dtype=np.int32)
+    hit = sqd == m1[yi]
+    nearest[yi[hit]] = xi[hit]
+    star = xi != nearest[yi]
+    return nearest[yi[star]], xi[star].astype(np.int32), sqd[star]
 
 
 def _lightest(a, b, w, count):
@@ -201,8 +203,8 @@ def lln_sweep(n_values, tau_values, trials: int, seed: int, jobs: int = 1):
     """
     n_values = [float(n) for n in n_values]
     tau_values = [float(t) for t in tau_values]
-    if any(n < 2 for n in n_values):
-        raise ValueError("all n values must be at least 2")
+    if not all(2 <= n < math.inf for n in n_values):
+        raise ValueError(f"n must be finite and at least 2, got {n_values}")
     if not all(0 < tau < math.inf for tau in tau_values):
         raise ValueError(f"tau must be finite and positive, got {tau_values}")
     if trials < 0:
@@ -257,29 +259,26 @@ def g1_min_degree_is_zero(X: PointPattern, Y: PointPattern, r: float) -> bool:
     if not (0 < r < math.inf):
         raise ValueError("radius must be positive and finite")
     link = np.full(nx, np.inf)
-    for xi, yi, sqd, block in _pair_blocks(X, Y)(r):
-        _fold_min_degree(link, xi, yi, sqd, len(block))
+    for u, v, w in starmap(_star_edges, _pair_blocks(X, Y)(r)):
+        np.minimum.at(link, u, w)
+        np.minimum.at(link, v, w)
     return float(link.max()) == math.inf
 
 
 def min_degree_trial(master_seed: int, alpha_index: int, trial: int, n: float,
                      tau: float, r_n: float) -> bool:
     region = Region("box", 1.0, 2)
-    sampler_a = CoupledSampler(region, master_seed, "A", path=(alpha_index, trial))
-    sampler_b = CoupledSampler(region, master_seed, "B", path=(alpha_index, trial))
-    X = sampler_a.prefix(n)
-    Y = sampler_b.prefix(tau * n)
-    if len(X) == 0:
-        return False
-    return g1_min_degree_is_zero(X, Y, r_n)
+    X, Y = (CoupledSampler(region, master_seed, stream, path=(alpha_index, trial)).prefix(lam)
+            for stream, lam in (("A", n), ("B", tau * n)))
+    return len(X) > 0 and g1_min_degree_is_zero(X, Y, r_n)
 
 
 def radius_for_alpha(n: float, alpha: float) -> float:
     """Radius r_n solving n*pi*r_n^2/log(n) = alpha."""
     if not (0 < alpha < math.inf):
         raise ValueError("alpha must be positive and finite")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= n < math.inf:
+        raise ValueError(f"n must be finite and at least 2, got {n!r}")
     return math.sqrt(alpha * math.log(n) / (n * math.pi))
 
 

@@ -164,9 +164,10 @@ class CoupledSampler:
         return float(self._times[k - 1])
 
     def prefix(self, intensity: float) -> PointPattern:
-        """Pattern {X_1, ..., X_N} at this intensity; prefixes are nested."""
+        """Pattern {X_1, ..., X_N} at this intensity; prefixes are nested. Its
+        points are a read-only view of the cache, which growth never writes."""
         n = self.count_at(intensity)
         while self._points.shape[0] < n:
             more = self._point_rng.random(self._points.shape) * self.region.side
             self._points = np.concatenate([self._points, more])
-        return PointPattern(self.region, self._points[:n].copy())
+        return PointPattern(self.region, self._points[:n])

@@ -147,6 +147,19 @@ class TestArgumentHandling:
         assert "tau" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # before any trial: lln would otherwise run every n=100 trial first
+    @pytest.mark.parametrize("n", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["lln", "--tau", "4", "--trials", "2"],
+        ["mindeg", "--alpha", "0.5", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_n_exits_1(self, tmp_path, capsys, argv, n):
+        values = f"100,{n}" if argv[0] == "lln" else n
+        code = run_cli([*argv, f"--n={values}", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "n must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--lambda", "nan"],
                                        ["--lambda-c", "nan"], ["--r", "nan"], ["--r", "inf"]])
     def test_bound_non_finite_parameter_exits_1(self, tmp_path, capsys, flags):
@@ -391,7 +404,8 @@ def _traced_peak(argv) -> int:
 class TestMemory:
     """Data rows are formatted and written one at a time, so a run's memory
     does not grow with the text of its CSV (about 300 bytes a row when every
-    row was held as a list and a line)."""
+    row was held as a list and a line), and a threshold holds compact edges,
+    not every pair it meets."""
 
     def test_sample_streams_its_rows(self, tmp_path):
         argv = ["sample", "--intensity", "100000", "--seed", "1", "--out", str(tmp_path / "s")]
@@ -412,6 +426,19 @@ class TestMemory:
         # per field: one plane of uniform floats at a time, the T, U, V and W
         # bits, and the four site bits each field keeps for its rows
         assert peak < 32 * sites
+
+    def test_lln_threshold_keeps_star_edges(self, tmp_path):
+        import scipy.spatial  # noqa: F401  (imported by the run; not counted against it)
+
+        argv = ["lln", "--n", "2e4", "--tau", "4", "--trials", "1", "--out", str(tmp_path / "l")]
+        peak = _traced_peak(argv)
+        region = Region("box", 1.0, 2)
+        points = sum(CoupledSampler(region, 0, stream, path=(0, 0)).count_at(lam)
+                     for stream, lam in (("A", 2e4), ("B", 8e4)))
+        # this trial's first cap is too small; at the second, the star edges
+        # (16 bytes each, about 8 per point), the cached points and one block's
+        # pairs. Holding every pair at the cap took about 280 bytes a point
+        assert peak <= 192 * points
 
 
 def test_cli_import_loads_no_spatial_index():

@@ -1,4 +1,5 @@
 import math
+from itertools import starmap
 from unittest import mock
 
 import numpy as np
@@ -20,15 +21,27 @@ from abperc import (
 )
 from abperc.connectivity import (ThresholdSample, radius_for_alpha, summarize_thresholds,
                                  threshold_trial)
-from abperc.geomgraph import NeighborGrid, _kdtree, bipartite_edges
+from abperc.geomgraph import (Graph, NeighborGrid, _kdtree, bipartite_edges, build_bipartite,
+                              components)
 from conftest import brute_force_pairs, build_g1, min_degree, random_pattern, rho_oracle
 
 
+def one_block(X, Y):
+    """A ``connectivity._pair_blocks`` stand-in: all X-Y pairs within r as one block."""
+    def blocks(r):
+        xi, yi, sqd = bipartite_edges(X, Y, r)
+        yield yi, xi, sqd, np.arange(len(Y))
+
+    return blocks
+
+
 def min_degree_sqdist(X, Y):
-    """Minimum-degree squared radius of all X-Y pairs, folded as one block."""
-    xi, yi, sqd = bipartite_edges(X, Y, X.region.max_distance)
+    """Minimum-degree squared radius of all X-Y pairs: the largest over X of
+    each point's lightest star edge, the star edges made as one block."""
     link = np.full(len(X), np.inf)
-    connectivity._fold_min_degree(link, xi, yi, sqd, len(Y))
+    for u, v, w in starmap(connectivity._star_edges, one_block(X, Y)(X.region.max_distance)):
+        np.minimum.at(link, u, w)
+        np.minimum.at(link, v, w)
     return float(link.max())
 
 
@@ -188,6 +201,17 @@ class TestRhoThreshold:
                 assert np.all(u != v)
                 assert len(set(zip(u.tolist(), v.tolist()))) == len(u)
 
+    @pytest.mark.parametrize("repeats", [256, 300])
+    def test_one_star_edge_repeated_beyond_int8(self, unit_square, repeats):
+        # every Y point is nearer x0 than x1 and links them by the same star
+        # edge, which the components pass meets once per Y point
+        X = PointPattern(unit_square, np.array([[0.30, 0.5], [0.70, 0.5]]))
+        ys = np.column_stack([np.linspace(0.40, 0.49, repeats), np.full(repeats, 0.5)])
+        Y = PointPattern(unit_square, ys)
+        u, v, w = connectivity._star_edges(*next(one_block(X, Y)(unit_square.max_distance)))
+        assert u.tolist() == [0] * repeats and v.tolist() == [1] * repeats
+        assert rho_threshold(X, Y) == rho_oracle(X, Y) == radius_for_sqdist(w.min())
+
     def test_mismatched_regions_rejected(self, unit_square):
         X = random_pattern(np.random.default_rng(8), 5)
         other = Region("box", 2.0, 2)
@@ -213,8 +237,7 @@ def pair_blocks_in(order_of):
         def blocks(r):
             for lo in range(0, len(order), connectivity._BLOCK):
                 block = order[lo:lo + connectivity._BLOCK]
-                yi, xi, sqd = grid.pairs_against(Y.points[block], r)
-                yield xi, yi, sqd, block
+                yield (*grid.pairs_against(Y.points[block], r), block)
 
         return blocks
 
@@ -223,6 +246,59 @@ def pair_blocks_in(order_of):
 
 def leaf_order(Y):
     return _kdtree(Y.points, Y.region).indices
+
+
+def min_degree_sqdist_brute(X, Y):
+    """The minimum-degree squared radius from the definition: x first has a
+    shared neighbor at the smallest max(sqdist(x, y), sqdist(x', y)), x' != x."""
+    d2 = X.region.sqdist(X.points[:, None, :], Y.points[None, :, :])
+    link = np.full(len(X), np.inf)
+    for x in range(len(X)):
+        others = np.delete(d2, x, axis=0).min(axis=0)
+        link[x] = np.maximum(d2[x], others).min()
+    return float(link.max())
+
+
+def same_partition(a, b):
+    return np.array_equal(a[:, None] == a[None, :], b[:, None] == b[None, :])
+
+
+class TestStarEdges:
+    """Each Y point's star joins its X neighbors within any radius, so the
+    star graph on X stands in for the bipartite graph at every radius."""
+
+    @given(instance=threshold_instances(), block=st.integers(1, 3))
+    @settings(max_examples=150)
+    def test_fold_and_components_match_bipartite_graph(self, instance, block):
+        X, Y, _ = instance
+        region = X.region
+        with mock.patch.object(connectivity, "_BLOCK", block):
+            blocks = connectivity._pair_blocks(X, Y)(region.max_distance)
+            edges = list(starmap(connectivity._star_edges, blocks))
+        u, v, w = (np.concatenate(side) for side in zip(*edges))
+        assert u.dtype == v.dtype == np.int32 and np.all(u != v)
+        assert min_degree_sqdist(X, Y) == min_degree_sqdist_brute(X, Y)
+        link = np.full(len(X), np.inf)
+        np.minimum.at(link, u, w)
+        np.minimum.at(link, v, w)
+        assert float(link.max()) == min_degree_sqdist_brute(X, Y)
+        d2 = region.sqdist(X.points[:, None, :], Y.points[None, :, :])
+        for r in sorted({radius_for_sqdist(sq) for sq in d2.ravel()} - {0.0}):
+            on = w <= r * r
+            star, _ = components(Graph(region, X.points, r, u[on], v[on]))
+            bipartite, _ = components(build_bipartite(X, Y, r))
+            assert same_partition(star, bipartite[:len(X)])
+
+
+def assert_stable_cell_order(region, ys, block):
+    X, Y = PointPattern(region, ys[:1]), PointPattern(region, ys)
+    with mock.patch.object(connectivity, "_BLOCK", block):
+        blocks = connectivity._pair_blocks(X, Y)(region.side * 1e-3)
+        order = np.concatenate([ids for *_, ids in blocks])
+    per_axis = max(1, round((len(Y) / block) ** (1 / region.dim)))
+    cells = np.minimum((ys * (per_axis / region.side)).astype(np.int64), per_axis - 1)
+    want = np.argsort(cells @ per_axis ** np.arange(region.dim), kind="stable")
+    assert np.array_equal(order, want)
 
 
 class TestPairBlocks:
@@ -246,10 +322,32 @@ class TestPairBlocks:
         assert sorted(order.tolist()) == list(range(len(Y)))
         cells = np.minimum((ys[order] * (5 / side)).astype(int), 4)
         assert np.all(np.diff(cells @ 5 ** np.arange(d)) >= 0)
-        for xi, yi, sqd, block in blocks:
+        for yi, xi, sqd, block in blocks:
             want = brute_force_pairs(region, Y.points[block], X.points, r)
             assert sorted(zip(yi.tolist(), xi.tolist())) == want
             assert np.array_equal(sqd, region.sqdist(Y.points[block][yi], X.points[xi]))
+
+    # the cell keys are sorted in the smallest unsigned type that holds them;
+    # the order must be the stable int64 one, ties in Y index order. Lattice
+    # coordinates tie, and coordinates just below side clamp to the top cell
+    @given(data=st.data(), kind=st.sampled_from(["box", "torus"]), d=st.integers(1, 3),
+           side=st.sampled_from([1.0, 6.5]), block=st.integers(1, 3))
+    @settings(max_examples=150)
+    def test_block_order_is_stable_int64_cell_order(self, data, kind, d, side, block):
+        coord = (st.integers(0, 7).map(lambda c: c * side / 8)
+                 | st.just(math.nextafter(side, 0.0)) | st.floats(0.0, side, exclude_max=True))
+        ys = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=40))
+        assert_stable_cell_order(Region(kind, side, d), np.array(ys), block)
+
+    # blocks of one point: 700 cells on a line and 17**2 in the square, whose
+    # keys no longer fit in 8 bits
+    @pytest.mark.parametrize("d, count", [(1, 700), (2, 300)])
+    def test_block_order_with_16_bit_keys(self, d, count):
+        side = 6.5
+        rng = np.random.default_rng(d)
+        ys = rng.integers(0, 40, (count, d)) * (side / 40)
+        ys[::7] = math.nextafter(side, 0.0)
+        assert_stable_cell_order(Region("box", side, d), ys, 1)
 
     # the min-degree fold takes minima and component labels ignore edge order,
     # so the threshold is the same float whatever order the blocks come in

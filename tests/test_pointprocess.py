@@ -116,6 +116,22 @@ class TestCoupledSampler:
         assert len(small) <= len(large)
         assert np.array_equal(large.points[:len(small)], small.points)
 
+    def test_prefix_is_a_read_only_view_that_outlives_growth(self, unit_square):
+        sampler = CoupledSampler(unit_square, 6)
+        small = sampler.prefix(40.0)
+        # no copy of the cached points; the caller cannot write through it
+        assert np.shares_memory(small.points, sampler._points)
+        assert not small.points.flags.writeable
+        with pytest.raises(ValueError):
+            small.points[0, 0] = 0.5
+        kept = small.points.copy()
+        # the first cache holds 64 points; this grows it by doubling
+        large = sampler.prefix(5000.0)
+        assert len(small) < 64 < len(large)
+        assert np.array_equal(small.points, kept)
+        assert np.array_equal(large.points[:len(small)], small.points)
+        assert not large.points.flags.writeable
+
     def test_prefix_nesting_across_sweep(self, unit_square):
         sampler = CoupledSampler(unit_square, 8)
         sizes = [len(sampler.prefix(float(lam))) for lam in range(1, 101)]
