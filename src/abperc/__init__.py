@@ -21,10 +21,10 @@ from .bounds import (
 )
 from .connectivity import (
     ThresholdSample,
-    g1_min_degree_is_zero,
     lln_statistic,
     lln_sweep,
     min_degree_diagnostic,
+    min_degree_sqradius,
     rho_threshold,
 )
 from .errors import EstimationError, ResourceLimitError

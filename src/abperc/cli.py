@@ -231,14 +231,13 @@ def _run_lln(p, seed, jobs):
 
 
 def _run_mindeg(p, seed, jobs):
-    rows, fractions = [], {}
-    for ai, alpha in enumerate(_parse_list(p["alpha"], "--alpha")):
-        fraction, indicators = connectivity.min_degree_diagnostic(
-            p["n"], p["tau"], alpha, p["trials"], seed, jobs=jobs, alpha_index=ai)
-        fractions[str(alpha)] = fraction
-        rows.extend([alpha, trial, int(flag)] for trial, flag in enumerate(indicators))
+    alphas = _parse_list(p["alpha"], "--alpha")
+    fractions, indicators = connectivity.min_degree_diagnostic(
+        p["n"], p["tau"], alphas, p["trials"], seed, jobs=jobs)
+    rows = [[alpha, trial, int(flag)]
+            for alpha, flags in zip(alphas, indicators) for trial, flag in enumerate(flags)]
     return ({".csv": (["alpha", "trial", "min_degree_zero"], rows)},
-            {"fraction_zero": fractions})
+            {"fraction_zero": {str(alpha): f for alpha, f in zip(alphas, fractions)}})
 
 
 def _run_couple_test(p, seed, jobs):

@@ -89,12 +89,8 @@ def _sweep_to_connectivity(X, Y, cap):
     """One cap pass: the exact threshold if the pairs within ``cap`` connect X, else None."""
     blocks = _pair_blocks(X, Y)
     # only the star edges outlive their block, as (int32, int32, float64)
-    link, kept = np.full(len(X), np.inf), []
-    for u, v, w in starmap(_star_edges, blocks(cap)):
-        np.minimum.at(link, u, w)
-        np.minimum.at(link, v, w)
-        kept.append((u, v, w))
-    deg2 = float(link.max())
+    kept = list(starmap(_star_edges, blocks(cap)))
+    deg2 = min_degree_sqradius(X, Y, cap, kept)
     if deg2 == math.inf:
         return None
     # no smaller threshold connects, since every X point needs a shared neighbor
@@ -162,6 +158,25 @@ def _star_edges(yi, xi, sqd, block):
     return nearest[yi[star]], xi[star].astype(np.int32), sqd[star]
 
 
+def min_degree_sqradius(X: PointPattern, Y: PointPattern, cap: float, edges=None) -> float:
+    """Largest over X of each point's lightest star edge within ``cap`` (+inf if
+    one has none, 0 for no X points): of ``edges`` if given, else made and held
+    one block at a time.
+
+    The star edges of weight <= r*r are the same at any cap >= r, so the
+    shared-neighbor graph at r <= cap has an isolated vertex iff this exceeds r*r.
+    """
+    if X.region != Y.region:
+        raise ValueError("patterns must share a region")
+    if edges is None:
+        edges = starmap(_star_edges, _pair_blocks(X, Y)(cap))
+    link = np.full(len(X), np.inf)
+    for u, v, w in edges:
+        np.minimum.at(link, u, w)
+        np.minimum.at(link, v, w)
+    return float(link.max(initial=0.0))
+
+
 def _lightest(a, b, w, count):
     """The lightest (a, b, w) for each distinct pair (a, b) of labels below count."""
     order = np.argsort(w)
@@ -179,42 +194,47 @@ def lln_statistic(n: float, rho: float) -> float:
     return n * math.pi * rho * rho / math.log(n)
 
 
-def threshold_trial(master_seed: int, tau_index: int, tau: float, trial: int,
-                    n_values) -> list[ThresholdSample]:
-    """Thresholds for one realization across an n sweep (coupled prefixes)."""
+def threshold_trial(master_seed: int, trial: int, n_values, tau_values) -> list[ThresholdSample]:
+    """Thresholds across the (n, tau) grid of one realization: n and tau*n take
+    prefixes of one A and one B pattern."""
     region = Region("box", 1.0, 2)
-    sampler_a = CoupledSampler(region, master_seed, "A", path=(tau_index, trial))
-    sampler_b = CoupledSampler(region, master_seed, "B", path=(tau_index, trial))
+    sampler_a, sampler_b = (CoupledSampler(region, master_seed, stream, path=(0, trial))
+                            for stream in "AB")
     rows = []
-    for n in n_values:
-        X = sampler_a.prefix(n)
-        Y = sampler_b.prefix(tau * n)
-        rho = rho_threshold(X, Y)
-        rows.append(ThresholdSample(n, tau, trial, rho, lln_statistic(n, rho)))
+    for tau in tau_values:
+        for n in n_values:
+            rho = rho_threshold(sampler_a.prefix(n), sampler_b.prefix(tau * n))
+            rows.append(ThresholdSample(n, tau, trial, rho, lln_statistic(n, rho)))
     return rows
 
 
 def lln_sweep(n_values, tau_values, trials: int, seed: int, jobs: int = 1):
-    """Threshold statistics over an (n, tau) grid.
+    """Threshold statistics over an (n, tau) grid, every value checked before
+    any trial. One realization per trial: more B points only add shared
+    neighbors, so a trial's rho is non-increasing in tau.
 
-    Returns (samples, summary) where samples is a flat list of
-    ThresholdSample and summary holds one row per (n, tau) cell with the
-    median and interquartile range of the statistic.
+    Returns (samples, summary): the ThresholdSample of each tau, trial and n in
+    that order, and one row per (n, tau) cell with the median and interquartile
+    range of the statistic.
     """
-    n_values = [float(n) for n in n_values]
-    tau_values = [float(t) for t in tau_values]
-    if not all(2 <= n < math.inf for n in n_values):
-        raise ValueError(f"n must be finite and at least 2, got {n_values}")
-    if not all(0 < tau < math.inf for tau in tau_values):
-        raise ValueError(f"tau must be finite and positive, got {tau_values}")
+    n_values = _distinct("n", n_values, lambda n: 2 <= n < math.inf, "finite, at least 2")
+    tau_values = _distinct("tau", tau_values, lambda t: 0 < t < math.inf, "finite, positive")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    tasks = [(seed, ti, tau, trial, n_values)
-             for ti, tau in enumerate(tau_values) for trial in range(trials)]
-    results = parallel_starmap(threshold_trial, tasks, jobs)
-    samples = [row for rows in results for row in rows]
-    summary = summarize_thresholds(samples)
-    return samples, summary
+    tasks = [(seed, trial, n_values, tau_values) for trial in range(trials)]
+    flat = [row for rows in parallel_starmap(threshold_trial, tasks, jobs) for row in rows]
+    # stable: the rows of one tau stay in trial order, then n order
+    samples = sorted(flat, key=lambda s: tau_values.index(s.tau))
+    return samples, summarize_thresholds(samples)
+
+
+def _distinct(name: str, values, valid, requirement: str) -> list[float]:
+    """``values`` as floats, or a ValueError naming ``name`` unless there are some,
+    each valid and none repeated."""
+    values = [float(v) for v in values]
+    if not values or not all(map(valid, values)) or len(set(values)) < len(values):
+        raise ValueError(f"{name} must be {requirement} and distinct, got {values}")
+    return values
 
 
 def summarize_thresholds(samples) -> list[dict]:
@@ -245,32 +265,12 @@ def _quartiles(values) -> np.ndarray:
     return np.where(reach >= finite, math.inf, q)
 
 
-def g1_min_degree_is_zero(X: PointPattern, Y: PointPattern, r: float) -> bool:
-    """Whether the shared-neighbor graph on X has an isolated vertex.
-
-    That is, some X point has no shared neighbor among the pairs within r:
-    the minimum-degree radius of those pairs is infinite.
-    """
-    nx = len(X)
-    if nx == 0:
-        raise ValueError("minimum degree undefined for an empty vertex set")
-    if X.region != Y.region:
-        raise ValueError("patterns must share a region")
-    if not (0 < r < math.inf):
-        raise ValueError("radius must be positive and finite")
-    link = np.full(nx, np.inf)
-    for u, v, w in starmap(_star_edges, _pair_blocks(X, Y)(r)):
-        np.minimum.at(link, u, w)
-        np.minimum.at(link, v, w)
-    return float(link.max()) == math.inf
-
-
-def min_degree_trial(master_seed: int, alpha_index: int, trial: int, n: float,
-                     tau: float, r_n: float) -> bool:
+def min_degree_trial(master_seed: int, trial: int, n: float, tau: float, cap: float) -> float:
+    """:func:`min_degree_sqradius` within ``cap`` of one realization."""
     region = Region("box", 1.0, 2)
-    X, Y = (CoupledSampler(region, master_seed, stream, path=(alpha_index, trial)).prefix(lam)
+    X, Y = (CoupledSampler(region, master_seed, stream, path=(0, trial)).prefix(lam)
             for stream, lam in (("A", n), ("B", tau * n)))
-    return len(X) > 0 and g1_min_degree_is_zero(X, Y, r_n)
+    return min_degree_sqradius(X, Y, cap)
 
 
 def radius_for_alpha(n: float, alpha: float) -> float:
@@ -282,20 +282,19 @@ def radius_for_alpha(n: float, alpha: float) -> float:
     return math.sqrt(alpha * math.log(n) / (n * math.pi))
 
 
-def min_degree_diagnostic(n: float, tau: float, alpha: float, trials: int, seed: int,
-                          jobs: int = 1, alpha_index: int = 0):
-    """Fraction of trials in which the shared-neighbor graph has min degree 0.
+def min_degree_diagnostic(n: float, tau: float, alphas, trials: int, seed: int, jobs: int = 1):
+    """For each alpha, the fraction of trials and the trials in which the
+    shared-neighbor graph at r_n(alpha) has min degree 0: (fractions, indicators).
 
-    Returns (fraction, indicators); trials == 0 yields (nan, []).
+    One fold per trial, at the largest radius, answers every alpha. With no
+    trials each fraction is nan.
     """
-    r_n = radius_for_alpha(n, alpha)
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    alphas = _distinct("alpha", alphas, lambda a: 0 < a < math.inf, "positive, finite")
+    radii = [radius_for_alpha(n, alpha) for alpha in alphas]
+    (tau,) = _distinct("tau", [tau], lambda t: 0 < t < math.inf, "finite, positive")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    if trials == 0:
-        return math.nan, []
-    tasks = [(seed, alpha_index, trial, float(n), float(tau), r_n)
-             for trial in range(trials)]
-    indicators = parallel_starmap(min_degree_trial, tasks, jobs)
-    return float(np.mean(indicators)), [bool(b) for b in indicators]
+    tasks = [(seed, trial, float(n), tau, max(radii)) for trial in range(trials)]
+    deg2 = parallel_starmap(min_degree_trial, tasks, jobs)
+    indicators = [[d > r * r for d in deg2] for r in radii]
+    return [float(np.mean(flags)) if flags else math.nan for flags in indicators], indicators

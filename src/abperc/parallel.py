@@ -1,11 +1,4 @@
-"""Seed-stable parallel execution of independent Monte Carlo tasks.
-
-One process pool serves a whole run: inside :func:`pool_scope`, the calls of
-:func:`parallel_starmap` with one ``jobs`` value share one pool, whose workers
-are forked once, at the first parallel call. A scope opened inside another
-reuses its pool; the outermost one shuts it down and joins its workers on
-exit, on an exception too. A call outside every scope opens its own.
-"""
+"""Seed-stable parallel execution of independent Monte Carlo tasks."""
 
 from __future__ import annotations
 
@@ -20,8 +13,10 @@ _pools: ContextVar[dict | None] = ContextVar("abperc_pools", default=None)
 
 @contextmanager
 def pool_scope():
-    """Share one process pool per ``jobs`` value among the parallel calls
-    inside; usable as a decorator too."""
+    """Share one process pool per ``jobs`` value, forked at the first parallel
+    call, among the calls inside; usable as a decorator too. A scope inside
+    another reuses its pools; the outermost shuts them down and joins their
+    workers on exit, on an exception too."""
     if _pools.get() is not None:
         yield
         return
@@ -39,7 +34,8 @@ def parallel_starmap(fn, tasks, jobs: int = 1) -> list:
     """Apply ``fn(*task)`` to every task, preserving task order.
 
     Task seeds are derived from their own indices, so the result is
-    byte-identical for any ``jobs`` value; only wall time changes.
+    byte-identical for any ``jobs`` value; only wall time changes. A call
+    outside every :func:`pool_scope` opens its own.
     """
     tasks = list(tasks)
     if jobs <= 1 or len(tasks) <= 1:

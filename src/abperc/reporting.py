@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -30,15 +31,20 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_summary(path, payload: dict) -> None:
-    """Write a JSON summary; adds a timestamp under TIMESTAMP_KEY."""
+    """Write a strict JSON summary; adds a timestamp under TIMESTAMP_KEY."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    out = dict(payload)
-    out[TIMESTAMP_KEY] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    path.write_text(json.dumps(out, indent=2, default=_jsonable) + "\n")
+    out = {**payload, TIMESTAMP_KEY: time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+    path.write_text(json.dumps(_jsonable(out), indent=2, allow_nan=False, default=str) + "\n")
 
 
 def _jsonable(obj):
+    """``obj`` with numpy values as Python ones, and non-finite floats spelled
+    as in the CSVs: "inf", "-inf" and "nan"."""
     if hasattr(obj, "tolist"):
-        return obj.tolist()
-    return str(obj)
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
+    return fmt_value(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import abperc
-from abperc import CoupledSampler, Region, latticecoupling, sample_poisson
+from abperc import CoupledSampler, Region, connectivity, latticecoupling, sample_poisson
 from abperc.cli import ExperimentConfig, build_parser, config_from_args, main, run
 from abperc.reporting import TIMESTAMP_KEY
 
@@ -135,6 +136,29 @@ class TestArgumentHandling:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    # every value is checked before the first trial: 0.5,nan would otherwise
+    # run every alpha=0.5 trial first, and a repeated value writes its rows twice
+    @pytest.mark.parametrize("argv, name", [
+        (["lln", "--n", "300,300", "--tau", "4"], "n"),
+        (["lln", "--n", "1e3,1000", "--tau", "4"], "n"),
+        (["lln", "--n", "300", "--tau", "4,1,4"], "tau"),
+        (["lln", "--n", "300", "--tau", "4,nan"], "tau"),
+        (["mindeg", "--n", "300", "--alpha", "0.5,0.5"], "alpha"),
+        (["mindeg", "--n", "300", "--alpha", "0.5,nan"], "alpha"),
+    ], ids=["lln-n", "lln-n-spelling", "lln-tau", "lln-tau-nan", "mindeg-alpha",
+            "mindeg-alpha-nan"])
+    def test_bad_list_value_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                     argv, name):
+        def trial(*args):
+            raise AssertionError("a trial ran before every value was checked")
+
+        monkeypatch.setattr(connectivity, "threshold_trial", trial)
+        monkeypatch.setattr(connectivity, "min_degree_trial", trial)
+        code = run_cli([*argv, "--trials", "2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"abperc: error: {name} ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
@@ -358,6 +382,45 @@ class TestSubcommands:
                         "--trials", "30", "--out", str(out)]) == 0
         summary = json.loads((tmp_path / "mu.summary.json").read_text())
         assert summary["estimate"]["no_percolation"] is True
+
+
+def _no_constant(name):
+    raise AssertionError(f"summary holds the non-JSON constant {name}")
+
+
+class TestStrictSummary:
+    """Every summary is strict JSON: a non-finite float is written as the
+    string the CSVs use, never as Infinity or NaN."""
+
+    @pytest.mark.parametrize("argv, path, want", [
+        (["sample", "--intensity", "5"], ["count"], None),
+        (["percolate", "--intensities", "0.2", "--L", "8", "--trials", "2"], ["mode"], None),
+        (["mu-c", "--lambda", "0.05", "--L", "8", "--trials", "4"], ["estimate", "estimate"],
+         "inf"),
+        (["bound", "--lambda", "1", "--lambda-c", "0.5"], ["mu_hat"], None),
+        (["lln", "--n", "100", "--trials", "1"], ["cells", 0, "trials"], 1),
+        (["mindeg", "--n", "100", "--alpha", "0.5,2", "--trials", "0"],
+         ["fraction_zero", "2.0"], "nan"),
+        (["couple-test", "--window", "8,8", "--p-lambda", "0.6", "--p-nu", "0.3"],
+         ["implication_holds"], True),
+    ], ids=["sample", "percolate", "mu-c", "bound", "lln", "mindeg", "couple-test"])
+    def test_summary_parses_as_strict_json(self, tmp_path, argv, path, want):
+        assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 0
+        value = json.loads((tmp_path / "x.summary.json").read_text(), parse_constant=_no_constant)
+        for key in path:
+            value = value[key]
+        if want is not None:
+            assert value == want
+
+    def test_non_finite_floats_spelled_as_in_csv(self, tmp_path):
+        from abperc.reporting import fmt_value, write_summary
+
+        values = [math.inf, -math.inf, math.nan, np.float64(math.inf), np.array([1.5, -math.inf])]
+        write_summary(tmp_path / "s.json", {"values": values, "pair": (math.nan, 2)})
+        loaded = json.loads((tmp_path / "s.json").read_text(), parse_constant=_no_constant)
+        assert loaded["values"] == ["inf", "-inf", "nan", "inf", [1.5, "-inf"]]
+        assert loaded["pair"] == ["nan", 2]
+        assert [fmt_value(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
 
 
 class TestReproducibility:

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from abperc import (
     PointPattern,
     Region,
+    CoupledSampler,
     connectivity,
-    g1_min_degree_is_zero,
     is_connected_g1,
     lln_statistic,
     lln_sweep,
     min_degree_diagnostic,
+    min_degree_sqradius,
     radius_for_sqdist,
     rho_threshold,
 )
@@ -43,6 +44,12 @@ def min_degree_sqdist(X, Y):
         np.minimum.at(link, u, w)
         np.minimum.at(link, v, w)
     return float(link.max())
+
+
+def isolated_vertex(X, Y, r, cap=None):
+    """Whether the shared-neighbor graph on X at r has an isolated vertex, read
+    off the minimum-degree squared radius within ``cap`` >= r (default r)."""
+    return min_degree_sqradius(X, Y, r if cap is None else cap) > r * r
 
 
 LATTICE = st.integers(0, 7).map(lambda c: c / 8)
@@ -166,10 +173,10 @@ class TestRhoThreshold:
             rho_deg = radius_for_sqdist(min_degree_sqdist(X, Y))
             assert rho_deg <= want
             if rho_deg > 0:
-                assert not g1_min_degree_is_zero(X, Y, rho_deg)
+                assert not isolated_vertex(X, Y, rho_deg)
                 assert min_degree(build_g1(X, Y, rho_deg)) > 0
                 below = math.nextafter(rho_deg, 0.0)
-                assert below == 0 or g1_min_degree_is_zero(X, Y, below)
+                assert below == 0 or isolated_vertex(X, Y, below)
 
     def test_fallback_joins_components_beyond_min_degree_radius(self, unit_square,
                                                                 monkeypatch):
@@ -290,6 +297,48 @@ class TestStarEdges:
             assert same_partition(star, bipartite[:len(X)])
 
 
+class TestMinDegreeSqradius:
+    """The star edges of weight <= r*r are the same at any cap >= r, so one
+    fold at a cap answers the isolated-vertex question at every radius below."""
+
+    @given(instance=threshold_instances(), block=st.integers(1, 3), data=st.data())
+    @settings(max_examples=100)
+    def test_isolated_vertex_at_every_radius_up_to_the_cap(self, instance, block, data):
+        X, Y, _ = instance
+        d2 = X.region.sqdist(X.points[:, None, :], Y.points[None, :, :])
+        radii = sorted({radius_for_sqdist(sq) for sq in d2.ravel()} - {0.0})
+        cap = data.draw(st.sampled_from([*radii, X.region.max_distance]))
+        with mock.patch.object(connectivity, "_BLOCK", block):
+            deg2 = min_degree_sqradius(X, Y, cap)
+        # each candidate radius, and the float just below it
+        for r in {s for r in radii if r <= cap for s in (r, math.nextafter(r, 0.0)) if s > 0}:
+            assert (deg2 > r * r) == (min_degree(build_g1(X, Y, r)) == 0)
+
+
+class TestNestedPrefixes:
+    """More Y points only add shared neighbors, so the threshold cannot rise."""
+
+    @given(instance=threshold_instances(), block=st.integers(1, 3))
+    @settings(max_examples=100)
+    def test_threshold_non_increasing_as_y_grows(self, instance, block):
+        X, Y, cap = instance
+        with mock.patch.object(connectivity, "_BLOCK", block):
+            rhos = [rho_threshold(X, PointPattern(X.region, Y.points[:k]), initial_cap=cap)
+                    for k in range(len(Y) + 1)]
+        assert rhos[0] == math.inf
+        assert all(a >= b for a, b in zip(rhos, rhos[1:]))
+
+    @pytest.mark.parametrize("kind", ["box", "torus"])
+    def test_coupled_b_prefixes(self, kind):
+        region = Region(kind, 1.0, 2)
+        for trial in range(5):
+            sampler_a, sampler_b = (CoupledSampler(region, 8, stream, path=(0, trial))
+                                    for stream in "AB")
+            X = sampler_a.prefix(200.0)
+            rhos = [rho_threshold(X, sampler_b.prefix(mu)) for mu in (50.0, 200.0, 800.0, 3200.0)]
+            assert rhos == sorted(rhos, reverse=True) and rhos[-1] < rhos[0]
+
+
 def assert_stable_cell_order(region, ys, block):
     X, Y = PointPattern(region, ys[:1]), PointPattern(region, ys)
     with mock.patch.object(connectivity, "_BLOCK", block):
@@ -395,6 +444,16 @@ class TestLlnStatistic:
         assert math.isinf(lln_statistic(10.0, math.inf))
 
 
+def realization(seed, trial):
+    """The A and B samplers of one trial of ``lln`` and ``mindeg``."""
+    return (CoupledSampler(Region("box", 1.0, 2), seed, stream, path=(0, trial))
+            for stream in "AB")
+
+
+def no_trial(*args):
+    raise AssertionError("a trial ran before every value was checked")
+
+
 class TestLlnSweep:
     def test_zero_trials_empty(self):
         samples, summary = lln_sweep([100.0], [1.0], 0, seed=0)
@@ -416,11 +475,30 @@ class TestLlnSweep:
         assert a == b
 
     def test_trial_rows_consistent(self):
-        rows = threshold_trial(3, 0, 2.0, 0, [100.0, 400.0])
-        assert [r.n for r in rows] == [100.0, 400.0]
+        rows = threshold_trial(3, 0, [100.0, 400.0], [2.0, 5.0])
+        assert [(r.tau, r.n) for r in rows] == [(2.0, 100.0), (2.0, 400.0),
+                                                (5.0, 100.0), (5.0, 400.0)]
+        sampler_a, sampler_b = realization(3, 0)
         for row in rows:
             assert row.statistic == lln_statistic(row.n, row.rho)
-            assert row.tau == 2.0 and row.trial == 0
+            assert row.trial == 0
+            X, Y = sampler_a.prefix(row.n), sampler_b.prefix(row.tau * row.n)
+            assert row.rho == rho_threshold(X, Y)
+
+    def test_rows_are_tau_major_and_first_tau_matches_single_tau_run(self):
+        samples, _ = lln_sweep([60.0, 120.0], [4.0, 1.0], 3, seed=4)
+        assert [(s.tau, s.trial, s.n) for s in samples] == [
+            (tau, trial, n) for tau in (4.0, 1.0) for trial in range(3) for n in (60.0, 120.0)]
+        single, _ = lln_sweep([60.0, 120.0], [4.0], 3, seed=4)
+        assert samples[:len(single)] == single
+
+    def test_each_trial_rho_non_increasing_in_tau(self):
+        # one B pattern per trial: a larger tau only adds B points
+        taus = [1.0, 2.0, 4.0, 16.0]
+        samples, _ = lln_sweep([150.0], taus, 8, seed=6)
+        for trial in range(8):
+            rhos = [s.rho for tau in taus for s in samples if s.trial == trial and s.tau == tau]
+            assert rhos == sorted(rhos, reverse=True)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -437,6 +515,15 @@ class TestLlnSweep:
             with pytest.raises(ValueError, match="tau"):
                 lln_sweep([100.0], [1.0, tau], trials, seed=0)
 
+    @pytest.mark.parametrize("n_values, tau_values, name", [
+        ([300.0, 300.0], [4.0], "n"), ([1e3, 1000], [4.0], "n"), ([300.0], [4.0, 4], "tau"),
+    ])
+    def test_repeated_value_rejected_before_any_trial(self, monkeypatch, n_values,
+                                                      tau_values, name):
+        monkeypatch.setattr(connectivity, "threshold_trial", no_trial)
+        with pytest.raises(ValueError, match=f"^{name} must be .* and distinct"):
+            lln_sweep(n_values, tau_values, 2, seed=0)
+
 
 class TestMinDegreeDiagnostic:
     def test_radius_solves_statistic(self):
@@ -449,17 +536,23 @@ class TestMinDegreeDiagnostic:
         with pytest.raises(ValueError, match="alpha"):
             radius_for_alpha(1e4, alpha)
         with pytest.raises(ValueError, match="alpha"):
-            min_degree_diagnostic(100.0, 1.0, alpha, 0, seed=0)
+            min_degree_diagnostic(100.0, 1.0, [alpha], 0, seed=0)
+
+    @pytest.mark.parametrize("alphas", [[0.5, math.nan], [0.5, 0.5], [2, 2.0], []])
+    def test_bad_alpha_list_rejected_before_any_trial(self, monkeypatch, alphas):
+        monkeypatch.setattr(connectivity, "min_degree_trial", no_trial)
+        with pytest.raises(ValueError, match="^alpha"):
+            min_degree_diagnostic(100.0, 1.0, alphas, 3, seed=0)
 
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
-            min_degree_diagnostic(100.0, 1.0, 0.5, -3, seed=0)
+            min_degree_diagnostic(100.0, 1.0, [0.5], -3, seed=0)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_or_non_finite_tau_rejected(self, tau):
         for trials in (0, 1):
             with pytest.raises(ValueError, match="tau"):
-                min_degree_diagnostic(100.0, tau, 0.5, trials, seed=0)
+                min_degree_diagnostic(100.0, tau, [0.5], trials, seed=0)
 
     def test_fast_indicator_matches_graph_min_degree(self, unit_square, monkeypatch):
         # the default block, and blocks of 1 and 3 Y points that split every pattern
@@ -471,26 +564,50 @@ class TestMinDegreeDiagnostic:
                 X = random_pattern(rng, int(rng.integers(1, 25)))
                 Y = random_pattern(rng, int(rng.integers(0, 25)))
                 r = float(rng.uniform(0.05, 0.5))
-                fast = g1_min_degree_is_zero(X, Y, r)
                 want = min_degree(build_g1(X, Y, r)) == 0
-                assert fast == want
-                agree += fast
+                for cap in (r, 1.7 * r, unit_square.max_distance):
+                    assert isolated_vertex(X, Y, r, cap) == want
+                agree += want
             assert 0 < agree < 40
 
-    def test_empty_a_side_rejected(self, unit_square):
+    def test_empty_a_side_has_no_isolated_vertex(self, unit_square):
         empty = PointPattern(unit_square, np.empty((0, 2)))
-        with pytest.raises(ValueError):
-            g1_min_degree_is_zero(empty, empty, 0.1)
+        Y = random_pattern(np.random.default_rng(2), 5)
+        for B in (empty, Y):
+            assert min_degree_sqradius(empty, B, 0.1) == 0.0
+            assert not isolated_vertex(empty, B, 1e-300)
 
     def test_zero_trials_undefined(self):
-        fraction, indicators = min_degree_diagnostic(100.0, 1.0, 0.5, 0, seed=0)
-        assert math.isnan(fraction) and indicators == []
+        fractions, indicators = min_degree_diagnostic(100.0, 1.0, [0.5, 2.0], 0, seed=0)
+        assert all(math.isnan(f) for f in fractions) and len(fractions) == 2
+        assert indicators == [[], []]
+
+    def test_one_realization_per_trial_answers_every_alpha(self, monkeypatch):
+        n, tau, alphas, trials = 150.0, 1.0, [0.2, 3.0, 1.0, 6.0], 12
+        maps, starmap_ = [], connectivity.parallel_starmap
+
+        def spy(fn, tasks, jobs=1):
+            maps.append(fn)
+            return starmap_(fn, tasks, jobs)
+
+        monkeypatch.setattr(connectivity, "parallel_starmap", spy)
+        fractions, indicators = min_degree_diagnostic(n, tau, alphas, trials, seed=3)
+        assert maps == [connectivity.min_degree_trial]
+        for trial in range(trials):
+            sampler_a, sampler_b = realization(3, trial)
+            X, Y = sampler_a.prefix(n), sampler_b.prefix(tau * n)
+            for alpha, flags in zip(alphas, indicators):
+                assert flags[trial] == (min_degree(build_g1(X, Y, radius_for_alpha(n, alpha))) == 0)
+        assert fractions == [float(np.mean(flags)) for flags in indicators]
+        # the first alpha's rows are those of a run of that alpha alone
+        assert min_degree_diagnostic(n, tau, alphas[:1], trials, seed=3)[1] == indicators[:1]
 
     def test_small_scale_fractions_ordered(self):
         # sparse helpers leave isolated vertices much more often than dense ones
-        low, _ = min_degree_diagnostic(300.0, 1.0, 0.2, 20, seed=3, alpha_index=0)
-        high, _ = min_degree_diagnostic(300.0, 1.0, 6.0, 20, seed=3, alpha_index=1)
+        (low, high), (sparse, dense) = min_degree_diagnostic(300.0, 1.0, [0.2, 6.0], 20, seed=3)
         assert low > high
+        # on one realization, a larger radius never isolates more
+        assert all(s or not d for s, d in zip(sparse, dense))
 
 
 class TestSummaries:
