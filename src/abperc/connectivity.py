@@ -13,22 +13,26 @@ disconnected, one bottleneck over its components.
 
 The pairs are streamed: B points are queried against one k-d tree over the A
 points in blocks of ``_BLOCK`` points, in the order of their cells in a coarse
-grid. A block makes the star edges of its B points in full. Beyond one block's
-query, a pass within a radius cap holds only its star edges (16 bytes each)
-until it knows the minimum-degree radius; then it keeps those within it.
+grid. A block makes the star edges of its B points in full. Once every B point
+near an A point has been streamed, that point's lightest star edge is final,
+and the largest such is a lower bound of the minimum-degree squared radius.
+Beyond one block's query, a pass within a radius cap folds the star edges
+below that bound into component labels as it goes, and holds only the heavier
+ones (16 bytes each) until it knows the minimum-degree radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import starmap
 
 import numpy as np
 
-from .geomgraph import Graph, NeighborGrid, bottleneck, components, radius_for_sqdist
+from .bounds import unit_ball_volume
+from .errors import ResourceLimitError
+from .geomgraph import NeighborGrid, _wide, bottleneck, components, radius_for_sqdist
 from .parallel import parallel_starmap
-from .pointprocess import CoupledSampler, PointPattern, Region
+from .pointprocess import MAX_EXPECTED_POINTS, CoupledSampler, PointPattern, Region
 
 # Y points queried per block in a cap pass: one block's pairs and coordinates
 # are the pass's working set beside the star edges it keeps
@@ -38,6 +42,14 @@ _BLOCK = 1 << 13
 # 48% (tau=4), 17% (16) and 4% (1) of box trials at n=1e3, 23% (4) and 5% (16)
 # at n=1e4, while a cap sqrt(2) wider would hold twice the pairs in every pass
 _CAP_STEP = math.sqrt(2.0)
+
+# star edges streamed per X point between a pass's folds of those within its
+# lower bound of deg2 into the component labels, each one components call
+# over len(X) label ids
+_FOLD = 2
+
+# the region of every lln and mindeg trial
+_UNIT_SQUARE = Region("box", 1.0, 2)
 
 
 @dataclass(frozen=True)
@@ -56,11 +68,10 @@ def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = 
 
     Only the X-Y pairs within a radius cap, grown by sqrt(2) until they
     connect X, are generated, one block of Y points at a time, and turned into
-    star edges on X. Their minimum-degree radius rho_deg is exact; if one
-    connected-components pass finds the star graph at rho_deg connected, that
-    is the answer, else a second pass over the blocks finds the
-    :func:`~abperc.geomgraph.bottleneck` that joins its components along the
-    heavier star edges between them.
+    star edges on X. Their minimum-degree radius rho_deg is exact; if the
+    star graph at rho_deg is connected, that is the answer, else a second pass
+    over the blocks finds the :func:`~abperc.geomgraph.bottleneck` that joins
+    its components along the heavier star edges between them.
     Returns 0 for at most one X point and +inf when Y is empty but X has two
     or more points.
     """
@@ -76,8 +87,9 @@ def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = 
         cap = _CAP_STEP * math.sqrt(region.volume * math.log(nx + 2.0)
                                     * max(1.0 / ny, 0.25 / nx) / math.pi)
     cap = min(max(cap, 1e-9), region.max_distance)
+    blocks = _pair_blocks(X, Y)
     while True:
-        rho = _sweep_to_connectivity(X, Y, cap)
+        rho = _sweep_to_connectivity(X, blocks, cap)
         if rho is not None:
             return rho
         if cap >= region.max_distance:
@@ -85,28 +97,40 @@ def rho_threshold(X: PointPattern, Y: PointPattern, initial_cap: float | None = 
         cap = min(cap * _CAP_STEP, region.max_distance)
 
 
-def _sweep_to_connectivity(X, Y, cap):
-    """One cap pass: the exact threshold if the pairs within ``cap`` connect X, else None."""
-    blocks = _pair_blocks(X, Y)
-    # only the star edges outlive their block, as (int32, int32, float64)
-    kept = list(starmap(_star_edges, blocks(cap)))
-    deg2 = min_degree_sqradius(X, Y, cap, kept)
+def _sweep_to_connectivity(X, blocks, cap):
+    """One cap pass over ``blocks`` (see :func:`_pair_blocks`): the exact
+    threshold if the pairs within ``cap`` connect X, else None.
+
+    Every few blocks, the star edges streamed so far that are no heavier than
+    the lower bound of deg2 from :func:`_linked` are folded into the component
+    labels of X; they are in the graph at rho_deg. The heavier ones keep their
+    weights until deg2 is known, and those within it are folded then.
+    """
+    nx = len(X)
+    link, labels = np.full(nx, np.inf), np.arange(nx, dtype=np.int32)
+    parts, pending = [], 0
+    for u, v, w, low in _linked(blocks(cap), link):
+        parts.append((u, v, w))
+        pending += len(w)
+        if pending > _FOLD * nx:
+            labels, pending = _fold_within(labels, parts, low), 0
+    deg2 = float(link.max())
     if deg2 == math.inf:
         return None
     # no smaller threshold connects, since every X point needs a shared neighbor
     rho_deg = radius_for_sqdist(deg2)
-    for i, (u, v, w) in enumerate(kept):
-        within = w <= deg2
-        kept[i] = u[within], v[within]
-    u, v = (np.concatenate(side) for side in zip(*kept))
-    del kept
-    labels, count = components(Graph(X.region, X.points, rho_deg, u, v))
-    if count == 1:
+    labels = _fold_within(labels, parts, deg2)
+    del parts
+    if np.all(labels == labels[0]):
         return rho_deg
+    # the label ids run to len(X): number the components in use 0..count-1
+    ids, labels = np.unique(labels, return_inverse=True)
+    count = len(ids)
     # edges within deg2 are merged already: join the components along the
     # heavier star edges, the lightest per two components
     joins = []
-    for u, v, w in starmap(_star_edges, blocks(cap)):
+    for yi, xi, sqd, block, _ in blocks(cap):
+        u, v, w = _star_edges(yi, xi, sqd, block)
         lu, lv = labels[u], labels[v]
         rest = lu != lv
         joins.append(_lightest(lu[rest], lv[rest], w[rest], count))
@@ -115,29 +139,99 @@ def _sweep_to_connectivity(X, Y, cap):
     return None if w == math.inf else radius_for_sqdist(w)
 
 
+def _fold_within(labels, parts, bound):
+    """``labels`` (ids below their length) merged along the star edges of
+    ``parts`` no heavier than ``bound``, by one components call over the label
+    ids; each part keeps only its heavier edges, replaced one part at a time."""
+    light = []
+    for i, (u, v, w) in enumerate(parts):
+        # indices and take: faster than boolean masks that split at random
+        within = w <= bound
+        if (fold := np.flatnonzero(within)).size:
+            light.append((labels.take(u.take(fold)), labels.take(v.take(fold))))
+            keep = np.flatnonzero(~within)
+            parts[i] = u.take(keep), v.take(keep), w.take(keep)
+    if not light:
+        return labels
+    merged, _ = components(len(labels), *(np.concatenate(side) for side in zip(*light)))
+    return merged[labels]
+
+
 def _pair_blocks(X, Y):
-    """A function of r yielding (yi, xi, sqd, block): the X-Y pairs within r, one
-    block of ``_BLOCK`` Y points at a time.
+    """A function of r yielding (yi, xi, sqd, block, done): the X-Y pairs within
+    r, one block of ``_BLOCK`` Y points at a time, and the X points ``done``
+    once the block is streamed.
 
     ``block`` holds the Y indices of the block and ``yi`` indexes it. A block
     lists every X neighbour of its Y points, and the Y points go in the order of
     their cells in a grid of about one block per cell, so each block is compact.
+    Each X point is in the ``done`` of the first block after which every Y
+    point within r of it has been streamed (see :func:`_done_per_block`).
     """
-    grid = NeighborGrid(X.points, X.region)
-    per_axis = max(1, round((len(Y) / _BLOCK) ** (1 / Y.region.dim)))
-    # a coordinate just below side may scale up to per_axis itself
-    cells = np.minimum((Y.points * (per_axis / Y.region.side)).astype(np.int64), per_axis - 1)
-    # cast to the smallest unsigned type (at most 16 bits in the budget), radix-sorted
-    keys = cells @ per_axis ** np.arange(Y.region.dim)
-    order = np.argsort(keys.astype(np.min_scalar_type(per_axis**Y.region.dim - 1)), kind="stable")
+    region = Y.region
+    per_axis = max(1, round((len(Y) / _BLOCK) ** (1 / region.dim)))
+    keys = _cell_keys(Y.points, region, per_axis)
+    # cast to the smallest unsigned type (at most 16 bits in the budget), radix-sorted;
+    # int32 indices (the budget keeps Y far below 2**31), held for the whole call
+    order = np.argsort(keys.astype(np.min_scalar_type(per_axis**region.dim - 1)),
+                       kind="stable").astype(np.int32)
+    # the Y points in the cells of key <= k are the first through[k] of the order
+    through = np.cumsum(np.bincount(keys, minlength=per_axis**region.dim))
+    del keys
+    grid = NeighborGrid(X.points, region)
 
     def blocks(r):
-        for lo in range(0, len(order), _BLOCK):
+        _require_pair_budget(len(X), len(Y), r, region, f"cap {r!r}")
+        done = _done_per_block(X, r, through, per_axis)
+        for lo, finished in zip(range(0, len(order), _BLOCK), done):
             block = order[lo:lo + _BLOCK]
             # unnamed: no frame holds these pairs while the next block is queried
-            yield (*grid.pairs_against(Y.points[block], r), block)
+            yield (*grid.pairs_against(Y.points[block], r), block, finished)
 
     return blocks
+
+
+def _done_per_block(X, r, through, per_axis):
+    """For each block of the cell order, the X points all of whose Y points
+    within r have been streamed once it is.
+
+    Such a Y point is no farther than r from x along any axis, so its cell key
+    is at most that of the cell of x's far corner, widened as the pair query is;
+    on a torus an axis along which the ball wraps bounds nothing. The last Y
+    point of the cells up to that key is the first ``through[key]`` of the order.
+    """
+    region = X.region
+    reach = _wide(r, region)
+    corner = X.points + reach
+    if region.kind == "torus":
+        corner[(X.points < reach) | (corner >= region.side)] = region.side
+    finish = (np.maximum(through[_cell_keys(corner, region, per_axis)], 1) - 1) // _BLOCK
+    n_blocks = -(-int(through[-1]) // _BLOCK)
+    return np.split(np.argsort(finish, kind="stable"),
+                    np.cumsum(np.bincount(finish, minlength=n_blocks))[:-1])
+
+
+def _cell_keys(points, region: Region, per_axis: int) -> np.ndarray:
+    """Row-major key (first axis fastest) of each point's cell in a grid of
+    ``per_axis`` cells along each axis, one coordinate column at a time."""
+    keys = np.zeros(len(points), dtype=np.int64)
+    for k in reversed(range(region.dim)):
+        # a coordinate just below side may scale up to per_axis itself
+        cell = (points[:, k] * (per_axis / region.side)).astype(np.int64)
+        keys *= per_axis
+        keys += np.minimum(cell, per_axis - 1, out=cell)
+    return keys
+
+
+def _require_pair_budget(nx: float, ny: float, r: float, region: Region, what: str) -> None:
+    """ResourceLimitError naming ``what`` if one block of min(``_BLOCK``, ny) Y
+    points is expected to meet more X points within r than the sampling budget."""
+    ball = unit_ball_volume(region.dim) * r**region.dim
+    expected = min(_BLOCK, ny) * nx * min(1.0, ball / region.volume)
+    if expected > MAX_EXPECTED_POINTS:
+        raise ResourceLimitError(
+            f"{what} gives {expected:.3g} expected pairs in a block of {min(_BLOCK, ny):.0f} "
+            f"B points, beyond the pair budget of {MAX_EXPECTED_POINTS:.3g}")
 
 
 def _star_edges(yi, xi, sqd, block):
@@ -158,22 +252,34 @@ def _star_edges(yi, xi, sqd, block):
     return nearest[yi[star]], xi[star].astype(np.int32), sqd[star]
 
 
-def min_degree_sqradius(X: PointPattern, Y: PointPattern, cap: float, edges=None) -> float:
+def _linked(blocks, link):
+    """Each block's star edges (u, v, w), folded into ``link`` (each X point's
+    lightest edge so far), with ``low``: the largest link of the X points done
+    so far. Their links are final, so ``low`` never exceeds the final
+    link.max(). Stops early once that is +inf."""
+    low = -math.inf
+    for yi, xi, sqd, block, done in blocks:
+        u, v, w = _star_edges(yi, xi, sqd, block)
+        np.minimum.at(link, u, w)
+        np.minimum.at(link, v, w)
+        low = float(link[done].max(initial=low))
+        yield u, v, w, low
+        if low == math.inf:
+            return
+
+
+def min_degree_sqradius(X: PointPattern, Y: PointPattern, cap: float) -> float:
     """Largest over X of each point's lightest star edge within ``cap`` (+inf if
-    one has none, 0 for no X points): of ``edges`` if given, else made and held
-    one block at a time.
+    one has none, 0 for no X points), the edges made one block at a time.
 
     The star edges of weight <= r*r are the same at any cap >= r, so the
     shared-neighbor graph at r <= cap has an isolated vertex iff this exceeds r*r.
     """
     if X.region != Y.region:
         raise ValueError("patterns must share a region")
-    if edges is None:
-        edges = starmap(_star_edges, _pair_blocks(X, Y)(cap))
     link = np.full(len(X), np.inf)
-    for u, v, w in edges:
-        np.minimum.at(link, u, w)
-        np.minimum.at(link, v, w)
+    for _ in _linked(_pair_blocks(X, Y)(cap), link):
+        pass
     return float(link.max(initial=0.0))
 
 
@@ -197,8 +303,7 @@ def lln_statistic(n: float, rho: float) -> float:
 def threshold_trial(master_seed: int, trial: int, n_values, tau_values) -> list[ThresholdSample]:
     """Thresholds across the (n, tau) grid of one realization: n and tau*n take
     prefixes of one A and one B pattern."""
-    region = Region("box", 1.0, 2)
-    sampler_a, sampler_b = (CoupledSampler(region, master_seed, stream, path=(0, trial))
+    sampler_a, sampler_b = (CoupledSampler(_UNIT_SQUARE, master_seed, stream, path=(0, trial))
                             for stream in "AB")
     rows = []
     for tau in tau_values:
@@ -267,8 +372,7 @@ def _quartiles(values) -> np.ndarray:
 
 def min_degree_trial(master_seed: int, trial: int, n: float, tau: float, cap: float) -> float:
     """:func:`min_degree_sqradius` within ``cap`` of one realization."""
-    region = Region("box", 1.0, 2)
-    X, Y = (CoupledSampler(region, master_seed, stream, path=(0, trial)).prefix(lam)
+    X, Y = (CoupledSampler(_UNIT_SQUARE, master_seed, stream, path=(0, trial)).prefix(lam)
             for stream, lam in (("A", n), ("B", tau * n)))
     return min_degree_sqradius(X, Y, cap)
 
@@ -294,7 +398,9 @@ def min_degree_diagnostic(n: float, tau: float, alphas, trials: int, seed: int, 
     (tau,) = _distinct("tau", [tau], lambda t: 0 < t < math.inf, "finite, positive")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    tasks = [(seed, trial, float(n), tau, max(radii)) for trial in range(trials)]
+    cap = max(radii)
+    _require_pair_budget(n, tau * n, cap, _UNIT_SQUARE, f"alpha {max(alphas)!r}")
+    tasks = [(seed, trial, float(n), tau, cap) for trial in range(trials)]
     deg2 = parallel_starmap(min_degree_trial, tasks, jobs)
     indicators = [[d > r * r for d in deg2] for r in radii]
     return [float(np.mean(flags)) if flags else math.nan for flags in indicators], indicators

@@ -92,9 +92,11 @@ def _kdtree(points: np.ndarray, region: Region):
     # subcommands that never query neighbours should not pay it
     from scipy.spatial import cKDTree
 
-    # sliding-midpoint splits build faster than median ones; queries no slower
+    # sliding-midpoint splits build faster than median ones, and nodes kept at
+    # their split bounds (not shrunk to their points) faster still; the block
+    # queries of a threshold pass run no slower
     return cKDTree(points, boxsize=region.side if region.kind == "torus" else None,
-                   balanced_tree=False)
+                   balanced_tree=False, compact_nodes=False)
 
 
 @dataclass
@@ -140,11 +142,10 @@ def build_unigraph(X: PointPattern, s: float) -> Graph:
     return Graph(X.region, X.points, float(s), i, j)
 
 
-def components(graph: Graph):
-    """Connected-component labels, one per vertex, and the component count."""
-    nv = graph.n_vertices
-    data = np.ones(len(graph.edges_u), dtype=np.int8)
-    adj = coo_matrix((data, (graph.edges_u, graph.edges_v)), shape=(nv, nv))
+def components(n: int, u, v):
+    """Connected-component labels of the vertices 0..n-1 joined by the edges
+    (u, v), one per vertex, and the component count."""
+    adj = coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
     count, labels = connected_components(adj, directed=False)
     return labels, int(count)
 
@@ -161,7 +162,8 @@ def is_connected_g1(X: PointPattern, Y: PointPattern, r: float) -> bool:
         return True
     if len(Y) == 0:
         return False
-    labels, _ = components(build_bipartite(X, Y, r))
+    graph = build_bipartite(X, Y, r)
+    labels, _ = components(graph.n_vertices, graph.edges_u, graph.edges_v)
     left = labels[:nx]
     return bool(np.all(left == left[0]))
 
@@ -185,7 +187,7 @@ def crossing_exists(graph: Graph) -> bool:
     low, high = _margin_vertices(graph)
     if low.size == 0 or high.size == 0:
         return False
-    labels, _ = components(graph)
+    labels, _ = components(graph.n_vertices, graph.edges_u, graph.edges_v)
     return bool(np.intersect1d(labels[low], labels[high]).size > 0)
 
 

@@ -134,8 +134,11 @@ class CoupledSampler:
     def _grow_times(self) -> None:
         # cache growth doubles from a fixed size, so the cached event times
         # (cumulative sums restart at each block) never depend on query order
-        gaps = self._gap_rng.exponential(size=self._times.size)
-        self._times = np.concatenate([self._times, self._times[-1] + np.cumsum(gaps)])
+        last = self._times[-1]
+        self._times, gaps = _doubled(self._times)
+        self._gap_rng.standard_exponential(out=gaps)
+        np.cumsum(gaps, out=gaps)
+        gaps += last
 
     def count_at(self, intensity: float) -> int:
         """Number of points of the coupled process at this intensity.
@@ -168,6 +171,15 @@ class CoupledSampler:
         points are a read-only view of the cache, which growth never writes."""
         n = self.count_at(intensity)
         while self._points.shape[0] < n:
-            more = self._point_rng.random(self._points.shape) * self.region.side
-            self._points = np.concatenate([self._points, more])
+            self._points, more = _doubled(self._points)
+            self._point_rng.random(out=more)
+            more *= self.region.side
         return PointPattern(self.region, self._points[:n])
+
+
+def _doubled(cache: np.ndarray):
+    """A copy of ``cache`` in the first half of an array of twice its length, and
+    that array's second half, for the next block to be drawn into in place."""
+    grown = np.empty((2 * len(cache), *cache.shape[1:]))
+    grown[:len(cache)] = cache
+    return grown, grown[len(cache):]

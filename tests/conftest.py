@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from abperc import Graph, PointPattern, Region, build_bipartite, radius_for_sqdist
+from abperc import Graph, PointPattern, Region, build_bipartite, components, radius_for_sqdist
 from abperc.percolation import _levels, ab_crossing_times, one_type_crossing_times
 
 # property tests draw the same examples on every run, and a slow example on a
@@ -84,6 +84,11 @@ def build_g1(X, Y, r):
         edges.update(combinations(sorted(bip.edges_u[bip.edges_v == len(X) + y].tolist()), 2))
     pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     return Graph(X.region, X.points, float(r), pairs[:, 0], pairs[:, 1])
+
+
+def graph_components(graph):
+    """Component labels, one per vertex of ``graph``, and the component count."""
+    return components(graph.n_vertices, graph.edges_u, graph.edges_v)
 
 
 def min_degree(graph):

@@ -19,7 +19,6 @@ from scipy.stats import binomtest
 from abperc import (
     BoundInputs,
     asymptotic_constant,
-    components,
     delta_count,
     implication_holds,
     is_connected_g1,
@@ -29,7 +28,7 @@ from abperc import (
     sample_coupled_fields,
 )
 from abperc.cli import main as cli_main
-from conftest import build_g1, random_pattern, rho_oracle
+from conftest import build_g1, graph_components, random_pattern, rho_oracle
 
 SEED = 20260811
 LAMBDA_BAND = (0.287, 0.431)
@@ -148,7 +147,7 @@ def test_02_shared_neighbor_connectivity_equivalence():
         if nx <= 1:
             explicit = True
         else:
-            _, count = components(build_g1(X, Y, r))
+            _, count = graph_components(build_g1(X, Y, r))
             explicit = count == 1
         disagreements += fast != explicit
     elapsed = time.perf_counter() - started

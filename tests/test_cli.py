@@ -129,6 +129,19 @@ class TestArgumentHandling:
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_alpha_beyond_the_pair_budget_exits_1(self, tmp_path, capsys, monkeypatch):
+        # one block of B points would meet every A point: about 8e8 pairs
+        def trial(*args):
+            raise AssertionError("a trial ran before the pair budget was checked")
+
+        monkeypatch.setattr(connectivity, "min_degree_trial", trial)
+        code = run_cli(["mindeg", "--n", "1e5", "--alpha", "1e4", "--trials", "1",
+                        "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "alpha 10000.0" in err and "pair budget" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0.5,nan"])
     def test_non_finite_alpha_exits_1(self, tmp_path, capsys, alpha):
         code = run_cli(["mindeg", "--n", "200", "--alpha", alpha, "--trials", "2",
@@ -498,10 +511,25 @@ class TestMemory:
         region = Region("box", 1.0, 2)
         points = sum(CoupledSampler(region, 0, stream, path=(0, 0)).count_at(lam)
                      for stream, lam in (("A", 2e4), ("B", 8e4)))
-        # this trial's first cap is too small; at the second, the star edges
-        # (16 bytes each, about 8 per point), the cached points and one block's
-        # pairs. Holding every pair at the cap took about 280 bytes a point
-        assert peak <= 192 * points
+        # this trial's first cap is too small; at the second, 10 blocks in a
+        # grid of 3 x 3 cells bound deg2 only from below 0.68 of it until the
+        # last, so most of the star edges (16 bytes each, about 7 per point)
+        # are held, beside the cached points and one block's pairs: 175 bytes
+        # a point. Holding every pair at the cap took about 280
+        assert peak <= 184 * points
+
+    def test_lln_threshold_folds_star_edges_as_it_streams(self, tmp_path):
+        import scipy.spatial  # noqa: F401  (imported by the run; not counted against it)
+
+        argv = ["lln", "--n", "5e4", "--tau", "4", "--trials", "1", "--out", str(tmp_path / "l")]
+        peak = _traced_peak(argv)
+        region = Region("box", 1.0, 2)
+        points = sum(CoupledSampler(region, 0, stream, path=(0, 0)).count_at(lam)
+                     for stream, lam in (("A", 5e4), ("B", 2e5)))
+        # one pass over 25 blocks: 70 bytes a point, the star edges within the
+        # running lower bound of deg2 folded into labels as the blocks stream.
+        # Holding every star edge until deg2 was known took 101
+        assert peak <= 78 * points
 
 
 def test_cli_import_loads_no_spatial_index():

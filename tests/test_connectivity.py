@@ -1,5 +1,4 @@
 import math
-from itertools import starmap
 from unittest import mock
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from abperc import (
     PointPattern,
     Region,
+    ResourceLimitError,
     CoupledSampler,
     connectivity,
     is_connected_g1,
@@ -22,27 +22,25 @@ from abperc import (
 )
 from abperc.connectivity import (ThresholdSample, radius_for_alpha, summarize_thresholds,
                                  threshold_trial)
-from abperc.geomgraph import (Graph, NeighborGrid, _kdtree, bipartite_edges, build_bipartite,
-                              components)
-from conftest import brute_force_pairs, build_g1, min_degree, random_pattern, rho_oracle
+from abperc.geomgraph import NeighborGrid, _kdtree, bipartite_edges, build_bipartite, components
+from conftest import (brute_force_pairs, build_g1, graph_components, min_degree, random_pattern,
+                      rho_oracle)
 
 
-def one_block(X, Y):
-    """A ``connectivity._pair_blocks`` stand-in: all X-Y pairs within r as one block."""
-    def blocks(r):
-        xi, yi, sqd = bipartite_edges(X, Y, r)
-        yield yi, xi, sqd, np.arange(len(Y))
-
-    return blocks
+def one_block(X, Y, r):
+    """All X-Y pairs within r as one block (yi, xi, sqd, block), the first four
+    of what each block of ``connectivity._pair_blocks`` holds."""
+    xi, yi, sqd = bipartite_edges(X, Y, r)
+    return yi, xi, sqd, np.arange(len(Y))
 
 
 def min_degree_sqdist(X, Y):
     """Minimum-degree squared radius of all X-Y pairs: the largest over X of
     each point's lightest star edge, the star edges made as one block."""
     link = np.full(len(X), np.inf)
-    for u, v, w in starmap(connectivity._star_edges, one_block(X, Y)(X.region.max_distance)):
-        np.minimum.at(link, u, w)
-        np.minimum.at(link, v, w)
+    u, v, w = connectivity._star_edges(*one_block(X, Y, X.region.max_distance))
+    np.minimum.at(link, u, w)
+    np.minimum.at(link, v, w)
     return float(link.max())
 
 
@@ -178,6 +176,50 @@ class TestRhoThreshold:
                 below = math.nextafter(rho_deg, 0.0)
                 assert below == 0 or isolated_vertex(X, Y, below)
 
+    # a fold after every block of 1-3 Y points, so that each pass folds its
+    # star edges in many batches against the running lower bound of deg2
+    @given(instance=threshold_instances(), block=st.integers(1, 3))
+    @settings(max_examples=200)
+    def test_folded_in_small_batches_matches_oracle(self, instance, block):
+        X, Y, cap = instance
+        with mock.patch.multiple(connectivity, _BLOCK=block, _FOLD=0):
+            assert rho_threshold(X, Y, initial_cap=cap) == rho_oracle(X, Y)
+
+    def test_one_grid_per_call_across_cap_retries(self, unit_square, monkeypatch):
+        rng = np.random.default_rng(14)
+        X, Y = random_pattern(rng, 60), random_pattern(rng, 240)
+        grids, caps = [], []
+        sweep = connectivity._sweep_to_connectivity
+
+        def grid(*args):
+            grids.append(args)
+            return NeighborGrid(*args)
+
+        def spy(X, blocks, cap):
+            caps.append(cap)
+            return sweep(X, blocks, cap)
+
+        monkeypatch.setattr(connectivity, "NeighborGrid", grid)
+        monkeypatch.setattr(connectivity, "_sweep_to_connectivity", spy)
+        monkeypatch.setattr(connectivity, "_BLOCK", 16)
+        assert rho_threshold(X, Y, initial_cap=1e-3) == rho_oracle(X, Y)
+        assert len(caps) > 2 and len(grids) == 1
+
+    def test_cap_beyond_the_pair_budget_refused_before_any_query(self, unit_square,
+                                                                 monkeypatch):
+        def query(*args):
+            raise AssertionError("a block was queried")
+
+        rng = np.random.default_rng(15)
+        X, Y = random_pattern(rng, 40), random_pattern(rng, 40)
+        monkeypatch.setattr(NeighborGrid, "pairs_against", query)
+        # 40 Y points meet 40 * 40 * pi * 0.3**2 = 452 X points within 0.3
+        monkeypatch.setattr(connectivity, "MAX_EXPECTED_POINTS", 400)
+        with pytest.raises(ResourceLimitError, match="^cap 0.3 gives 452 expected pairs"):
+            min_degree_sqradius(X, Y, 0.3)
+        with pytest.raises(ResourceLimitError, match="^cap 0.3 "):
+            rho_threshold(X, Y, initial_cap=0.3)
+
     def test_fallback_joins_components_beyond_min_degree_radius(self, unit_square,
                                                                 monkeypatch):
         # two clusters, each with its own Y points, joined only by a far Y bridge
@@ -215,7 +257,7 @@ class TestRhoThreshold:
         X = PointPattern(unit_square, np.array([[0.30, 0.5], [0.70, 0.5]]))
         ys = np.column_stack([np.linspace(0.40, 0.49, repeats), np.full(repeats, 0.5)])
         Y = PointPattern(unit_square, ys)
-        u, v, w = connectivity._star_edges(*next(one_block(X, Y)(unit_square.max_distance)))
+        u, v, w = connectivity._star_edges(*one_block(X, Y, unit_square.max_distance))
         assert u.tolist() == [0] * repeats and v.tolist() == [1] * repeats
         assert rho_threshold(X, Y) == rho_oracle(X, Y) == radius_for_sqdist(w.min())
 
@@ -237,14 +279,18 @@ class TestRhoThreshold:
 
 
 def pair_blocks_in(order_of):
-    """``connectivity._pair_blocks`` with the Y points in the order ``order_of(Y)``."""
+    """``connectivity._pair_blocks`` with the Y points in the order ``order_of(Y)``.
+    It knows no X point done before the last block, so each pass folds its
+    star edges at the end; at the last block every X point is done."""
     def pair_blocks(X, Y):
         grid, order = NeighborGrid(X.points, X.region), order_of(Y)
 
         def blocks(r):
             for lo in range(0, len(order), connectivity._BLOCK):
                 block = order[lo:lo + connectivity._BLOCK]
-                yield (*grid.pairs_against(Y.points[block], r), block)
+                last = lo + connectivity._BLOCK >= len(order)
+                done = np.arange(len(X) if last else 0)
+                yield (*grid.pairs_against(Y.points[block], r), block, done)
 
         return blocks
 
@@ -281,7 +327,7 @@ class TestStarEdges:
         region = X.region
         with mock.patch.object(connectivity, "_BLOCK", block):
             blocks = connectivity._pair_blocks(X, Y)(region.max_distance)
-            edges = list(starmap(connectivity._star_edges, blocks))
+            edges = [connectivity._star_edges(*block[:4]) for block in blocks]
         u, v, w = (np.concatenate(side) for side in zip(*edges))
         assert u.dtype == v.dtype == np.int32 and np.all(u != v)
         assert min_degree_sqdist(X, Y) == min_degree_sqdist_brute(X, Y)
@@ -292,9 +338,87 @@ class TestStarEdges:
         d2 = region.sqdist(X.points[:, None, :], Y.points[None, :, :])
         for r in sorted({radius_for_sqdist(sq) for sq in d2.ravel()} - {0.0}):
             on = w <= r * r
-            star, _ = components(Graph(region, X.points, r, u[on], v[on]))
-            bipartite, _ = components(build_bipartite(X, Y, r))
+            star, _ = components(len(X), u[on], v[on])
+            bipartite, _ = graph_components(build_bipartite(X, Y, r))
             assert same_partition(star, bipartite[:len(X)])
+
+
+def tapped_linked(passes):
+    """``connectivity._linked`` that appends to ``passes``, for each pass, its
+    link array (final once the pass ends) and, for each block, its low, its
+    done X points and their links then."""
+    linked = connectivity._linked
+
+    def spy(blocks, link):
+        seen, record = [], []
+        passes.append((link, record))
+
+        def tap():
+            for block in blocks:
+                seen.append(block[4])
+                yield block
+
+        for u, v, w, low in linked(tap(), link):
+            record.append((low, seen[-1], link[seen[-1]].copy(), w))
+            yield u, v, w, low
+
+    return spy
+
+
+class TestStreamedFold:
+    """An X point is done once every Y point of a cell that may hold one of its
+    neighbours is streamed: its lightest star edge is then final, so the largest
+    such is a lower bound ``low`` of the pass's deg2."""
+
+    @given(instance=threshold_instances(), block=st.integers(1, 3))
+    @settings(max_examples=150)
+    def test_done_links_are_final_and_low_bounds_deg2(self, instance, block):
+        X, Y, cap = instance
+        passes = []
+        with mock.patch.multiple(connectivity, _BLOCK=block, _linked=tapped_linked(passes)):
+            assert rho_threshold(X, Y, initial_cap=cap) == rho_oracle(X, Y)
+        for link, record in passes:
+            lows = [low for low, *_ in record]
+            assert lows == sorted(lows) and lows[-1] <= link.max()
+            for low, done, at_done, _ in record:
+                assert np.array_equal(at_done, link[done])
+            # a pass stops early only once a done point has no star edge
+            if lows[-1] < math.inf:
+                assert sorted(np.concatenate([d for _, d, *_ in record]).tolist()) == \
+                    list(range(len(X)))
+
+    @pytest.mark.parametrize("kind", ["box", "torus"])
+    def test_edges_fold_before_the_pass_ends(self, monkeypatch, kind):
+        region = Region(kind, 1.0, 2)
+        rng = np.random.default_rng(17)
+        X = PointPattern(region, rng.random((400, 2)))
+        Y = PointPattern(region, rng.random((1600, 2)))
+        passes, folds = [], []
+        fold = connectivity._fold_within
+
+        def spy(labels, parts, bound):
+            before = sum(len(w) for *_, w in parts)
+            labels = fold(labels, parts, bound)
+            folds.append((bound, before - sum(len(w) for *_, w in parts)))
+            return labels
+
+        # 32 blocks of 50 Y points in a grid of 6 x 6 cells
+        monkeypatch.setattr(connectivity, "_BLOCK", 50)
+        with mock.patch.object(connectivity, "_pair_blocks", pair_blocks_in(leaf_order)):
+            want = rho_threshold(X, Y)  # every star edge folded at the end
+        monkeypatch.setattr(connectivity, "_linked", tapped_linked(passes))
+        monkeypatch.setattr(connectivity, "_fold_within", spy)
+        # one pass at the first cap
+        assert rho_threshold(X, Y) == want
+        (link, record), = passes
+        deg2 = link.max()
+        assert len(record) == 32 and all(low <= deg2 for low, *_ in record)
+        # most star edges are within the bound of their block, and several
+        # folds merge edges before the last one, at deg2
+        edges = sum(len(w) for *_, w in record)
+        assert sum(int((w <= low).sum()) for low, _, _, w in record) > 0.5 * edges
+        assert folds[-1][0] == deg2 and all(bound <= deg2 for bound, _ in folds)
+        assert sum(1 for _, folded in folds[:-1] if folded) >= 2
 
 
 class TestMinDegreeSqradius:
@@ -343,7 +467,7 @@ def assert_stable_cell_order(region, ys, block):
     X, Y = PointPattern(region, ys[:1]), PointPattern(region, ys)
     with mock.patch.object(connectivity, "_BLOCK", block):
         blocks = connectivity._pair_blocks(X, Y)(region.side * 1e-3)
-        order = np.concatenate([ids for *_, ids in blocks])
+        order = np.concatenate([ids for *_, ids, _ in blocks])
     per_axis = max(1, round((len(Y) / block) ** (1 / region.dim)))
     cells = np.minimum((ys * (per_axis / region.side)).astype(np.int64), per_axis - 1)
     want = np.argsort(cells @ per_axis ** np.arange(region.dim), kind="stable")
@@ -367,11 +491,11 @@ class TestPairBlocks:
         X, Y = PointPattern(region, rng.random((8, d)) * side), PointPattern(region, ys)
         monkeypatch.setattr(connectivity, "_BLOCK", 1)
         blocks = list(connectivity._pair_blocks(X, Y)(r))
-        order = np.concatenate([block for *_, block in blocks])
+        order = np.concatenate([block for *_, block, _ in blocks])
         assert sorted(order.tolist()) == list(range(len(Y)))
         cells = np.minimum((ys[order] * (5 / side)).astype(int), 4)
         assert np.all(np.diff(cells @ 5 ** np.arange(d)) >= 0)
-        for yi, xi, sqd, block in blocks:
+        for yi, xi, sqd, block, _ in blocks:
             want = brute_force_pairs(region, Y.points[block], X.points, r)
             assert sorted(zip(yi.tolist(), xi.tolist())) == want
             assert np.array_equal(sqd, region.sqdist(Y.points[block][yi], X.points[xi]))
@@ -576,6 +700,16 @@ class TestMinDegreeDiagnostic:
         for B in (empty, Y):
             assert min_degree_sqradius(empty, B, 0.1) == 0.0
             assert not isolated_vertex(empty, B, 1e-300)
+
+    def test_alpha_beyond_the_pair_budget_refused_before_any_trial(self, monkeypatch):
+        # at alpha = 1e4 the radius covers the square, so one block of 8192 B
+        # points meets all 1e5 A points
+        monkeypatch.setattr(connectivity, "min_degree_trial", no_trial)
+        with pytest.raises(ResourceLimitError, match="^alpha 10000.0 gives 8.19e"):
+            min_degree_diagnostic(1e5, 1.0, [0.5, 1e4], 3, seed=0)
+        # the acceptance run's largest alpha is far inside the budget
+        with pytest.raises(AssertionError, match="a trial ran"):
+            min_degree_diagnostic(1e5, 1.0, [0.5, 3.0], 3, seed=0)
 
     def test_zero_trials_undefined(self):
         fractions, indicators = min_degree_diagnostic(100.0, 1.0, [0.5, 2.0], 0, seed=0)

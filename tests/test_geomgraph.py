@@ -13,7 +13,6 @@ from abperc import (
     Region,
     build_bipartite,
     build_unigraph,
-    components,
     crossing_exists,
     crossing_steps,
     geomgraph,
@@ -28,6 +27,7 @@ from conftest import (
     brute_force_pairs,
     brute_force_self_pairs,
     build_g1,
+    graph_components,
     min_degree,
     random_pattern,
 )
@@ -237,7 +237,7 @@ class TestUnigraph:
             edges = set(zip(graph.edges_u.tolist(), graph.edges_v.tolist()))
             assert previous <= edges
             previous = edges
-            _, count = components(graph)
+            _, count = graph_components(graph)
             counts.append(count)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -245,14 +245,14 @@ class TestUnigraph:
 class TestComponents:
     def test_edgeless_graph(self, unit_square):
         X = random_pattern(np.random.default_rng(11), 5)
-        labels, count = components(build_unigraph(X, 1e-9))
+        labels, count = graph_components(build_unigraph(X, 1e-9))
         assert count == 5 and len(set(labels.tolist())) == 5
 
     def test_path_graph(self, unit_square):
         # exact binary spacing so consecutive distances equal the threshold
         pts = np.array([[0.125 * k, 0.0] for k in range(6)])
         X = PointPattern(unit_square, pts)
-        _, count = components(build_unigraph(X, 0.125))
+        _, count = graph_components(build_unigraph(X, 0.125))
         assert count == 1
 
     def test_matches_bfs_oracle(self, unit_square):
@@ -261,7 +261,7 @@ class TestComponents:
             X = random_pattern(rng, int(rng.integers(1, 40)))
             Y = random_pattern(rng, int(rng.integers(1, 40)))
             graph = build_bipartite(X, Y, float(rng.uniform(0.05, 0.4)))
-            labels, count = components(graph)
+            labels, count = graph_components(graph)
             adj = bipartite_adjacency(unit_square, X.points, Y.points, graph.radius)
             want_labels, want_count = bfs_components(len(X) + len(Y), adj)
             assert count == want_count
@@ -306,7 +306,7 @@ class TestSharedNeighborGraph:
             r = float(rng.uniform(0.05, 0.7))
             via_graph = True
             if nx > 1:
-                labels, count = components(build_g1(X, Y, r))
+                labels, count = graph_components(build_g1(X, Y, r))
                 via_graph = count == 1
             assert is_connected_g1(X, Y, r) == via_graph
 

@@ -6,6 +6,23 @@ from scipy import stats
 
 from abperc import CoupledSampler, PointPattern, Region, ResourceLimitError, sample_poisson
 from abperc.pointprocess import MAX_EXPECTED_POINTS
+from abperc.seeding import STREAM_IDS, derived_rng
+
+
+def drawn_in_blocks(region, seed, stream, size):
+    """The first ``size`` points and event times of a sampler's caches, drawn as
+    they were when each growth concatenated a new block: blocks of 64, 64, 128,
+    256, ... draws, the event times' cumulative sum restarting at each block
+    from the last time before it."""
+    sid = STREAM_IDS[stream]
+    point_rng, gap_rng = derived_rng(seed, sid, 0), derived_rng(seed, sid, 1)
+    points, times, total = [], [], 0
+    while total < size:
+        block = max(64, total)
+        points.append(point_rng.random((block, region.dim)) * region.side)
+        times.append((times[-1][-1] if times else 0.0) + np.cumsum(gap_rng.exponential(size=block)))
+        total += block
+    return np.concatenate(points)[:size], np.concatenate(times)[:size]
 
 
 class TestRegion:
@@ -227,6 +244,33 @@ class TestCouplingProperties:
         for lam in data.draw(st.permutations(lams)):
             assert np.array_equal(shuffled.prefix(lam).points, want[lam])
         assert [shuffled.event_time(k) for k in ks] == times
+
+
+    # prefix, count_at and event_time interleaved, past several cache growths;
+    # every pattern handed out keeps its points while later queries grow the cache
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), stream=st.sampled_from(["A", "B"]),
+           region=st.sampled_from([Region("box", 1.0, 2), Region("torus", 2.5, 2),
+                                   Region("box", 1.5, 1)]),
+           queries=st.lists(st.one_of(
+               st.tuples(st.sampled_from(["prefix", "count_at"]), st.floats(0.0, 600.0)),
+               st.tuples(st.just("event_time"), st.integers(1, 2000))), max_size=8))
+    def test_any_query_sequence_matches_one_large_draw(self, seed, stream, region, queries):
+        points, times = drawn_in_blocks(region, seed, stream, 8192)
+        sampler, patterns = CoupledSampler(region, seed, stream), []
+        for kind, arg in queries:
+            if kind == "event_time":
+                assert sampler.event_time(arg) == times[arg - 1]
+                continue
+            count = int(np.searchsorted(times, arg * region.volume, side="right"))
+            assert count < len(times)
+            if kind == "count_at":
+                assert sampler.count_at(arg) == count
+            else:
+                patterns.append(sampler.prefix(arg))
+                assert np.array_equal(patterns[-1].points, points[:count])
+        for pattern in patterns:
+            assert np.array_equal(pattern.points, points[:len(pattern)])
 
 
 class TestPointPattern:
